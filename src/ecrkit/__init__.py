@@ -24,12 +24,9 @@ from .eid import (
     identifier_key,
 )
 from .cluster import (
-    EdgeSet,
     MethodSpec,
     bucket_keys,
     cluster,
-    connected_components,
-    edges_from_buckets,
     pairwise_oracle,
 )
 from .metrics import (
@@ -53,8 +50,7 @@ __all__ = [
     "resolve_nested_links", "subset",
     "EidConfig", "EventIdentifier", "canonicalize_argument",
     "canonicalize_roleset", "eid0", "eid_lt", "eid_n", "identifier_key",
-    "EdgeSet", "MethodSpec", "bucket_keys", "cluster",
-    "connected_components", "edges_from_buckets", "pairwise_oracle",
+    "MethodSpec", "bucket_keys", "cluster", "pairwise_oracle",
     "PRF", "ScoreReport", "b_cubed", "ceaf_e", "format_score", "muc", "score",
     "score_matrix",
     "Partition", "BenchResult", "diagnose", "run_bench", "synth_expand",

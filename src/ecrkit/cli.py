@@ -11,9 +11,9 @@ import json
 import sys
 from dataclasses import fields as dataclass_fields
 
-from . import harness, kernels, llm, metrics
-from .cluster import BASES, MethodSpec, bucket_keys, pair_mass
-from .cluster import cluster as run_cluster
+from . import harness, llm, metrics
+from .cluster import BASES, MethodSpec, bucket_keys, components_from_keys, \
+    pair_mass
 from .corpus import Corpus, CorpusError, Lexicons, load_corpus, load_lexicons, \
     resolve_nested_links, subset
 from .eid import EidConfig
@@ -29,11 +29,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vn-map", help="roleset -> VerbNet class TSV")
     parser.add_argument("--alias-map", help="surface -> entity id TSV")
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--split", help="restrict to a split before running")
-    parser.add_argument("--kernel", choices=["auto", "numba", "python", "both"],
-                        default="auto")
 
 
 def _add_method_flags(parser: argparse.ArgumentParser) -> None:
@@ -99,12 +95,9 @@ def _write(path, text: str) -> None:
 def cmd_cluster(args) -> int:
     corpus, lexicons = _load(args)
     spec = _spec_from_args(args)
-    kernel = "auto" if args.kernel == "both" else args.kernel
-    partition = run_cluster(corpus, spec, lexicons, kernel=kernel)
-    if spec.annotator_mode != "and":
-        mass = pair_mass(bucket_keys(corpus, spec, lexicons))
-    else:
-        mass = -1
+    keys = bucket_keys(corpus, spec, lexicons)
+    partition = components_from_keys(corpus.mention_ids(), keys)
+    mass = pair_mass(keys)
     _write(args.out, partition.dump())
     singletons = sum(1 for c in partition.clusters if len(c) == 1)
     print(f"clusters={len(partition)} singletons={singletons} pair_mass={mass}",
@@ -165,15 +158,11 @@ def cmd_bench(args) -> int:
     corpus, lexicons = _load(args)
     spec = _spec_from_args(args)
     sizes = [int(s) for s in args.sizes.split(",")]
-    kernels = ["numba", "python"] if args.kernel == "both" else [args.kernel]
-    outputs = []
-    for kernel in kernels:
-        result = harness.run_bench(corpus, sizes, spec, lexicons,
-                                   repeats=args.repeats, kernel=kernel)
-        outputs.append(result.to_csv())
-        print(f"kernel={kernel} slope={result.slope:.3e} s/mention "
-              f"r2={result.r_squared:.4f}", file=sys.stderr)
-    _write(args.out, "\n".join(outputs))
+    result = harness.run_bench(corpus, sizes, spec, lexicons,
+                               repeats=args.repeats)
+    print(f"slope={result.slope:.3e} s/mention r2={result.r_squared:.4f}",
+          file=sys.stderr)
+    _write(args.out, result.to_csv())
     return EXIT_OK
 
 
@@ -285,8 +274,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (CorpusError, ValueError, OSError, llm.TransportError,
-            kernels.KernelUnavailableError) as exc:
+    except (CorpusError, ValueError, OSError, llm.TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

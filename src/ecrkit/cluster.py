@@ -1,30 +1,34 @@
 """Bucket-based clustering of mentions plus the quadratic pairwise oracle.
 
-Mentions sharing any bucket key land in the same connected component. For
-the component computation, each bucket only needs to connect its members in
-a star, which keeps the pipeline linear even when buckets grow large; the
-full within-bucket pair set (``edges_from_buckets``) is still available for
-the oracle, diagnostics, and pair-mass reporting.
+Every method is a set of bucket keys per mention, and two mentions match
+under the method exactly when their key sets intersect. Families combine
+by key algebra: ∧ takes the product of the two sides' keys, ∨ their
+side-tagged union; annotators combine the same way. Clustering then takes
+the connected components of bucket co-membership. Each bucket only needs
+to join its members in a star, so the pipeline stays linear in total bucket
+size even when buckets grow large.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import eid as eid_mod
 from .corpus import Corpus, Lexicons
 from .eid import EidConfig, MissingAnnotationError, identifier_key, normalize_surface
-from .kernels import component_labels
 from .partition import Partition
 
 BASES = ("lem", "pb", "pb_vn", "eid_n", "eid_lt", "eid_n_vn", "eid_lt_vn")
 
 ORACLE_GUARD = 20_000
 
-_TAG_SEP = "\x1e"
+TAG_SEP = "\x1e"
 
 
 @dataclass(frozen=True)
@@ -76,27 +80,6 @@ class MethodSpec:
         return name
 
 
-@dataclass
-class EdgeSet:
-    """Unordered mention-id pairs, stored in canonical (sorted) order."""
-
-    edges: set[tuple[str, str]] = field(default_factory=set)
-
-    def add(self, a: str, b: str) -> None:
-        if a == b:
-            return
-        self.edges.add((a, b) if a < b else (b, a))
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def union(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.edges | other.edges)
-
-    def intersection(self, other: "EdgeSet") -> "EdgeSet":
-        return EdgeSet(self.edges & other.edges)
-
-
 def _base_cfg(base: str, cfg: EidConfig) -> EidConfig:
     mode = eid_mod.VN_CLASS if base.endswith("_vn") else eid_mod.VERBATIM
     return replace(cfg, roleset_mode=mode)
@@ -131,133 +114,80 @@ def _base_keys(mention, base: str, annotator: Optional[str],
         return set()
 
 
+def _combine(mode: str, keys1: set[str], keys2: set[str],
+             tags: tuple[str, str] = ("1", "2")) -> set[str]:
+    """Keys that two mentions share iff they share a key on both sides
+    (``and``: the product) or on either side (``or``: the union, each side
+    tagged so that its keys never meet the other side's)."""
+    if mode == "and":
+        return {k1 + TAG_SEP + k2 for k1 in keys1 for k2 in keys2}
+    return ({tags[0] + TAG_SEP + k for k in keys1}
+            | {tags[1] + TAG_SEP + k for k in keys2})
+
+
 def _combined_keys(mention, spec: MethodSpec, annotator: Optional[str],
                    cfgs: list[EidConfig], lexicons: Lexicons) -> set[str]:
     keys = _base_keys(mention, spec.base, annotator, cfgs[0], lexicons)
     if spec.combiner == "single":
         return keys
     keys2 = _base_keys(mention, spec.second, annotator, cfgs[1], lexicons)
-    if spec.combiner == "and":
-        # Composite keys: a pair matches iff it matches on both families.
-        return {k1 + _TAG_SEP + k2 for k1 in keys for k2 in keys2}
-    # "or": side-tagged union; an edge then exists iff either family matches.
-    return ({"1" + _TAG_SEP + k for k in keys}
-            | {"2" + _TAG_SEP + k for k in keys2})
+    return _combine(spec.combiner, keys, keys2)
 
 
 def bucket_keys(corpus: Corpus, spec: MethodSpec,
                 lexicons: Lexicons) -> dict[str, set[str]]:
-    """Per-mention bucket key sets for the method. Annotator-or tags each
-    annotator's keys so the union of edge sets falls out of shared buckets;
-    annotator-and is handled in ``cluster`` by edge intersection."""
-    if spec.annotator_mode == "and":
-        raise ValueError(
-            "annotator-and has no bucket-key form; cluster() intersects edges"
-        )
+    """Per-mention bucket key sets for the method: two mentions match under
+    it exactly when their key sets intersect. The two annotators' key sets
+    combine as the two families' do, with the annotator ids as the ``or``
+    tags."""
     out: dict[str, set[str]] = {}
     cfgs = _spec_cfgs(spec)
-    annotators = [spec.annotator]
-    if spec.annotator_mode == "or":
-        annotators.append(spec.second_annotator)
+    tags = (str(spec.annotator), str(spec.second_annotator))
     for m in corpus.mentions:
-        keys: set[str] = set()
-        for ann_id in annotators:
-            got = _combined_keys(m, spec, ann_id, cfgs, lexicons)
-            if spec.annotator_mode == "or":
-                got = {str(ann_id) + _TAG_SEP + k for k in got}
-            keys |= got
+        keys = _combined_keys(m, spec, spec.annotator, cfgs, lexicons)
+        if spec.annotator_mode != "single":
+            keys2 = _combined_keys(m, spec, spec.second_annotator, cfgs,
+                                   lexicons)
+            keys = _combine(spec.annotator_mode, keys, keys2, tags)
         out[m.mention_id] = keys
     return out
 
 
-def _invert(keys: dict[str, set[str]]) -> dict[str, list[str]]:
-    buckets: dict[str, list[str]] = {}
-    for mid, key_set in keys.items():
-        for key in key_set:
-            buckets.setdefault(key, []).append(mid)
-    return buckets
-
-
 def pair_mass(keys: dict[str, set[str]]) -> int:
     """Total within-bucket pair count, sum of b*(b-1)/2 over buckets."""
-    return sum(
-        len(members) * (len(members) - 1) // 2
-        for members in _invert(keys).values()
-    )
+    sizes = Counter(key for key_set in keys.values() for key in key_set)
+    return sum(b * (b - 1) // 2 for b in sizes.values())
 
 
-def edges_from_buckets(keys: dict[str, set[str]]) -> EdgeSet:
-    """All unordered pairs co-occurring in some bucket. Quadratic in bucket
-    size; use the star path inside ``cluster`` for large corpora."""
-    edges = EdgeSet()
-    for members in _invert(keys).values():
-        uniq = sorted(set(members))
-        for i in range(len(uniq)):
-            for j in range(i + 1, len(uniq)):
-                edges.add(uniq[i], uniq[j])
-    return edges
-
-
-def connected_components(mention_ids: list[str], edges: EdgeSet,
-                         kernel: str = "auto") -> Partition:
-    """Union-find partition; mentions without edges stay singletons."""
+def components_from_keys(mention_ids: list[str],
+                         keys: dict[str, set[str]]) -> Partition:
+    """Connected components over bucket co-membership. Each bucket becomes
+    a star of edges from its first member to every other member, linear in
+    total bucket size; mentions without keys stay singletons."""
     index = {mid: i for i, mid in enumerate(mention_ids)}
-    us = np.empty(len(edges.edges), dtype=np.int64)
-    vs = np.empty(len(edges.edges), dtype=np.int64)
-    for i, (a, b) in enumerate(edges.edges):
-        if a not in index or b not in index:
-            missing = a if a not in index else b
-            raise ValueError(f"edge endpoint {missing!r} not in mention list")
-        us[i] = index[a]
-        vs[i] = index[b]
-    labels = component_labels(len(mention_ids), us, vs, kernel=kernel)
-    return _labels_to_partition(mention_ids, labels)
-
-
-def _labels_to_partition(mention_ids: list[str], labels: np.ndarray) -> Partition:
+    head: dict[str, int] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    for mid, key_set in keys.items():
+        i = index[mid]
+        for key in key_set:
+            h = head.setdefault(key, i)
+            if h != i:
+                us.append(h)
+                vs.append(i)
+    n = len(mention_ids)
+    graph = coo_matrix((np.ones(len(us)), (us, vs)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
     groups: dict[int, list[str]] = {}
-    for mid, root in zip(mention_ids, labels.tolist()):
-        groups.setdefault(root, []).append(mid)
+    for mid, label in zip(mention_ids, labels.tolist()):
+        groups.setdefault(label, []).append(mid)
     return Partition(groups.values())
 
 
-def components_from_keys(mention_ids: list[str], keys: dict[str, set[str]],
-                         kernel: str = "auto") -> Partition:
-    """Connected components over bucket co-membership using star edges
-    (first member to each other member), linear in total bucket size."""
-    index = {mid: i for i, mid in enumerate(mention_ids)}
-    us: list[int] = []
-    vs: list[int] = []
-    for members in _invert(keys).values():
-        if len(members) < 2:
-            continue
-        head = index[members[0]]
-        for other in members[1:]:
-            us.append(head)
-            vs.append(index[other])
-    labels = component_labels(
-        len(mention_ids),
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        kernel=kernel,
-    )
-    return _labels_to_partition(mention_ids, labels)
-
-
-def cluster(corpus: Corpus, spec: MethodSpec, lexicons: Lexicons,
-            kernel: str = "auto") -> Partition:
-    """bucket_keys -> components, or edge-set intersection for annotator-and."""
-    mention_ids = corpus.mention_ids()
-    if spec.annotator_mode == "and":
-        first = replace(spec, annotator_mode="single", second_annotator=None)
-        second = replace(spec, annotator=spec.second_annotator,
-                         annotator_mode="single", second_annotator=None)
-        edges = edges_from_buckets(bucket_keys(corpus, first, lexicons)).intersection(
-            edges_from_buckets(bucket_keys(corpus, second, lexicons))
-        )
-        return connected_components(mention_ids, edges, kernel=kernel)
-    keys = bucket_keys(corpus, spec, lexicons)
-    return components_from_keys(mention_ids, keys, kernel=kernel)
+def cluster(corpus: Corpus, spec: MethodSpec, lexicons: Lexicons) -> Partition:
+    """The method's partition: components of its bucket keys."""
+    return components_from_keys(corpus.mention_ids(),
+                                bucket_keys(corpus, spec, lexicons))
 
 
 def _pair_match(keys_a: set[str], keys_b: set[str]) -> bool:

@@ -36,7 +36,6 @@ class ArgValue:
     """An argument surface form, possibly ``/``-separated alternatives."""
 
     surface: str
-    canonical: Optional[list[str]] = None
 
     def alternatives(self) -> list[str]:
         parts = [p.strip() for p in self.surface.split("/")]
@@ -66,10 +65,6 @@ class EventAnnotation:
     arg1: Optional[Arg1Value] = None
     arg_loc: Optional[ArgValue] = None
     arg_time: Optional[ArgValue] = None
-
-    def is_standard(self) -> bool:
-        """True when ARG-1 is absent or an entity (i.e. not an event link)."""
-        return self.arg1 is None or self.arg1.kind == "entity"
 
 
 @dataclass
@@ -114,13 +109,11 @@ class Corpus:
     def __init__(self, mentions: list[Mention]):
         self.mentions = mentions
         self.by_id: dict[str, Mention] = {}
-        self.by_topic: dict[str, list[str]] = {}
         self.by_doc: dict[str, list[str]] = {}
         for m in mentions:
             if m.mention_id in self.by_id:
                 raise CorpusError(f"duplicate mention_id {m.mention_id!r}")
             self.by_id[m.mention_id] = m
-            self.by_topic.setdefault(m.topic_id, []).append(m.mention_id)
             self.by_doc.setdefault(m.doc_id, []).append(m.mention_id)
         self.gold = Partition.from_labels(
             {m.mention_id: m.gold_cluster for m in mentions}

@@ -1,7 +1,7 @@
 """Scaling benchmark and clustering diagnostics.
 
 The benchmark duplicates a seed corpus to each target size and times the
-clustering core (identifier generation, bucketing, union-find; file I/O and
+clustering core (bucket keys and connected components; file I/O and
 expansion excluded), reporting a least-squares linear fit over the sizes.
 Pair mass is reported per size but computed outside the timed region.
 """
@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cluster import MethodSpec, bucket_keys, components_from_keys, pair_mass
+from .cluster import TAG_SEP, MethodSpec, bucket_keys, components_from_keys, \
+    pair_mass
 from .corpus import Corpus, Lexicons, copy_mention, resolve_nested_links
-from .eid import MissingAnnotationError, eid_lt, eid_n, identifier_key
-from .kernels import select_kernel
+from .eid import KEY_SEP, canonicalize_argument
 from .partition import Partition
 
 EXPAND_GUARD = 5_000_000
@@ -29,8 +29,11 @@ EXPAND_GUARD = 5_000_000
 def synth_expand(corpus: Corpus, target_n: int) -> Corpus:
     """Duplicate mentions round-robin up to ``target_n``, with fresh ids.
 
-    Duplicates keep their source's annotations and gold cluster label, so a
-    duplicate always clusters with its source under any identifier method.
+    Duplicates keep their source's annotations and gold cluster label, but
+    links are resolved afresh on the expanded corpus, so a duplicate need
+    not cluster with its source: a link cut on the source because it would
+    close a cycle can resolve on a copy, and a link can move to a nearer
+    copy of its target. Either gives the two different identifiers.
     """
     if target_n < len(corpus):
         raise ValueError(
@@ -61,17 +64,15 @@ class BenchResult:
     intercept: float
     r_squared: float
     pair_mass: list[int]
-    kernel: str
     repeats: int
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["size", "wall_time_s", "cpu_time_s", "pair_mass",
-                         "kernel"])
+        writer.writerow(["size", "wall_time_s", "cpu_time_s", "pair_mass"])
         for size, wt, ct, mass in zip(self.sizes, self.wall_times_s,
                                       self.cpu_times_s, self.pair_mass):
-            writer.writerow([size, f"{wt:.6f}", f"{ct:.6f}", mass, self.kernel])
+            writer.writerow([size, f"{wt:.6f}", f"{ct:.6f}", mass])
         writer.writerow([])
         writer.writerow(["slope_s_per_mention", f"{self.slope:.3e}"])
         writer.writerow(["intercept_s", f"{self.intercept:.6f}"])
@@ -122,8 +123,7 @@ def _event_links(corpus: Corpus) -> list[Optional[str]]:
 
 
 def run_bench(corpus: Corpus, sizes: list[int], spec: MethodSpec,
-              lexicons: Lexicons, repeats: int = 3,
-              kernel: str = "auto") -> BenchResult:
+              lexicons: Lexicons, repeats: int = 3) -> BenchResult:
     """Time the clustering core at each size, taking the minimum of
     ``repeats`` interleaved rounds.
 
@@ -148,7 +148,6 @@ def run_bench(corpus: Corpus, sizes: list[int], spec: MethodSpec,
         raise ValueError(
             f"target {sizes[0]} is smaller than the corpus ({len(corpus)})"
         )
-    select_kernel(kernel)  # fail before the expansion, not after it
     largest = synth_expand(corpus, sizes[-1])
     best_wall = {size: float("inf") for size in sizes}
     best_cpu = {size: float("inf") for size in sizes}
@@ -161,11 +160,11 @@ def run_bench(corpus: Corpus, sizes: list[int], spec: MethodSpec,
 
             def core() -> dict[str, set[str]]:
                 keys = bucket_keys(expanded, spec, lexicons)
-                components_from_keys(mention_ids, keys, kernel=kernel)
+                components_from_keys(mention_ids, keys)
                 return keys
 
             if rnd == 0:
-                # warm-up, also compiles the kernel
+                # warm-up
                 masses[size] = pair_mass(core())
             gc.collect()
             gc_was_enabled = gc.isenabled()
@@ -189,8 +188,7 @@ def run_bench(corpus: Corpus, sizes: list[int], spec: MethodSpec,
     return BenchResult(
         sizes=list(sizes), wall_times_s=wall_times, cpu_times_s=cpu_times,
         slope=slope, intercept=intercept, r_squared=r_squared,
-        pair_mass=[masses[size] for size in sizes], kernel=kernel,
-        repeats=repeats,
+        pair_mass=[masses[size] for size in sizes], repeats=repeats,
     )
 
 
@@ -214,29 +212,26 @@ class DiagnosticsReport:
         for e in self.mismatches:
             lines.append("\t".join([
                 e.kind, e.mention_a, e.mention_b, ",".join(e.categories),
-                "|".join(e.keys_a), "|".join(e.keys_b),
+                "|".join(map(_printable, e.keys_a)),
+                "|".join(map(_printable, e.keys_b)),
             ]))
         return "\n".join(lines) + "\n"
 
 
-def _mention_keys(corpus, mid, spec, lexicons) -> list[str]:
-    m = corpus.by_id[mid]
-    annotator = spec.annotator
-    try:
-        ids = (eid_n(m, annotator, spec.eid_cfg, lexicons)
-               | eid_lt(m, annotator, spec.eid_cfg, lexicons))
-        return sorted(identifier_key(i) for i in ids)
-    except MissingAnnotationError:
-        return []
+def _printable(key: str) -> str:
+    """A bucket key with its separator bytes shown as ``:`` (between
+    identifier tokens) and ``+`` (between combined parts)."""
+    return key.replace(KEY_SEP, ":").replace(TAG_SEP, "+")
 
 
 def _categorize(corpus, a, b, keys_a, keys_b, spec, lexicons) -> list[str]:
     cats = []
-    for mid in (a, b):
-        ann = corpus.by_id[mid].annotations.get(spec.annotator)
-        if ann is not None and ann.roleset not in lexicons.vn_classes:
-            cats.append("no VN class")
-            break
+    if any(base.endswith("_vn") for base in (spec.base, spec.second or "")):
+        for mid in (a, b):
+            ann = corpus.by_id[mid].annotations.get(spec.annotator)
+            if ann is not None and ann.roleset not in lexicons.vn_classes:
+                cats.append("no VN class")
+                break
     if not keys_a or not keys_b:
         cats.append("missing slot")
     if _alias_miss(corpus, a, b, spec, lexicons):
@@ -249,8 +244,6 @@ def _categorize(corpus, a, b, keys_a, keys_b, spec, lexicons) -> list[str]:
 def _alias_miss(corpus, a, b, spec, lexicons) -> bool:
     """Near-identical argument surfaces that canonicalize apart, e.g. one
     location token contained in the other."""
-    from .eid import canonicalize_argument
-
     def arg_tokens(mid):
         ann = corpus.by_id[mid].annotations.get(spec.annotator)
         if ann is None:
@@ -274,24 +267,20 @@ def _alias_miss(corpus, a, b, spec, lexicons) -> bool:
 
 def diagnose(corpus: Corpus, pred: Partition, spec: MethodSpec,
              lexicons: Lexicons, max_entries: int = 1000) -> DiagnosticsReport:
-    """Mismatch pairs between gold and predicted clusterings, with mechanical
-    category hints. One representative pair per (gold piece, pred piece)."""
+    """Mismatch pairs between gold and predicted clusterings, with the
+    method's bucket keys of each mention and mechanical category hints. One
+    representative pair per (gold piece, pred piece)."""
     gold = corpus.gold
     report = DiagnosticsReport()
     for mid in corpus.mention_ids():
         report.assignments[mid] = (gold.index[mid], pred.index[mid])
 
-    key_cache: dict[str, list[str]] = {}
-
-    def keys_of(mid):
-        if mid not in key_cache:
-            key_cache[mid] = _mention_keys(corpus, mid, spec, lexicons)
-        return key_cache[mid]
+    keys = bucket_keys(corpus, spec, lexicons)
 
     def add(kind, a, b):
         if len(report.mismatches) >= max_entries:
             return
-        ka, kb = keys_of(a), keys_of(b)
+        ka, kb = sorted(keys[a]), sorted(keys[b])
         report.mismatches.append(MismatchEntry(
             kind=kind, mention_a=a, mention_b=b, keys_a=ka, keys_b=kb,
             categories=_categorize(corpus, a, b, ka, kb, spec, lexicons),

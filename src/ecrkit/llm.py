@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .cluster import components_from_keys
 from .corpus import ArgValue, Arg1Value, Corpus, EventAnnotation, Lexicons, Mention
 from .eid import EidConfig, eid_n, eid_lt
 
@@ -276,13 +277,14 @@ def parse_response(raw: str) -> AnnotationResponse:
 
 def dedupe_pool(pool: EventDescriptionPool, cfg: EidConfig,
                 lexicons: Lexicons) -> EventDescriptionPool:
-    """Collapse coreferent pool entries (matching nested or loc/time
-    identifiers) to the earliest entry. Idempotent and order-stable."""
+    """Collapse coreferent pool entries (same topic, matching nested or
+    loc/time identifiers, transitively) to the earliest entry. Idempotent
+    and order-stable."""
     entries = pool.entries
-
-    def ids_of(entry: PoolEntry):
+    keys: dict[int, set] = {}
+    for pos, entry in enumerate(entries):
         if entry.annotation is None:
-            return frozenset()
+            continue
         m = Mention(
             mention_id=entry.mention_id, topic_id=entry.topic_id, doc_id="",
             sentence_id=0, sentence="", trigger_text="", trigger_span=(0, 0),
@@ -290,30 +292,12 @@ def dedupe_pool(pool: EventDescriptionPool, cfg: EidConfig,
             annotations={"pool": entry.annotation},
         )
         ids = eid_n(m, "pool", cfg, lexicons) | eid_lt(m, "pool", cfg, lexicons)
-        return frozenset(ids)
-
-    id_sets = [ids_of(e) for e in entries]
-    parent = list(range(len(entries)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if entries[i].topic_id != entries[j].topic_id:
-                continue
-            if id_sets[i] and not id_sets[i].isdisjoint(id_sets[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    survivors = []
-    for i, entry in enumerate(entries):
-        if find(i) == i:
-            survivors.append(entry)
-    return EventDescriptionPool(entries=survivors)
+        keys[pos] = {(entry.topic_id, i) for i in ids}
+    # Positions stand in for mention ids, so each component's first member
+    # is its earliest entry, and components come in order of it.
+    components = components_from_keys(list(range(len(entries))), keys)
+    return EventDescriptionPool(
+        entries=[entries[c[0]] for c in components.clusters])
 
 
 @dataclass

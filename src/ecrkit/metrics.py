@@ -148,7 +148,7 @@ class MatrixRow:
     error: str | None = None
 
 
-def score_matrix(corpus, specs, lexicons, kernel: str = "auto",
+def score_matrix(corpus, specs, lexicons,
                  gold: Partition | None = None) -> list[MatrixRow]:
     """One scored row per method spec; per-row failures are captured in the
     row instead of aborting the whole matrix."""
@@ -159,7 +159,7 @@ def score_matrix(corpus, specs, lexicons, kernel: str = "auto",
     rows = []
     for spec in specs:
         try:
-            pred = cluster(corpus, spec, lexicons, kernel=kernel)
+            pred = cluster(corpus, spec, lexicons)
             rows.append(MatrixRow(spec.name(), report=score(gold, pred)))
         except Exception as exc:  # captured per row by contract
             rows.append(MatrixRow(spec.name(), error=str(exc)))

@@ -1,19 +1,15 @@
-import importlib.util
 import random
 
 import pytest
 
 from ecrkit import (
-    EdgeSet,
-    EidConfig,
     MethodSpec,
     bucket_keys,
     cluster,
-    connected_components,
-    edges_from_buckets,
     pairwise_oracle,
+    synth_expand,
 )
-from ecrkit.cluster import components_from_keys, pair_mass
+from ecrkit.cluster import _combine, components_from_keys, pair_mass
 from ecrkit.synthetic import random_corpus, synthetic_lexicons
 
 LEX = synthetic_lexicons()
@@ -38,7 +34,14 @@ METHOD_MATRIX = [
                second_annotator="A2"),
     MethodSpec(base="eid_n", combiner="or", second="eid_lt", annotator="A1",
                annotator_mode="or", second_annotator="A2"),
+    MethodSpec(base="eid_n", combiner="or", second="eid_lt", annotator="A1",
+               annotator_mode="and", second_annotator="A2"),
 ]
+
+
+def coarsens(fine, coarse):
+    """Every cluster of ``fine`` lies inside one cluster of ``coarse``."""
+    return all(len({coarse.index[m] for m in c}) == 1 for c in fine.clusters)
 
 
 class TestBucketKeys:
@@ -73,18 +76,36 @@ class TestBucketKeys:
 
 
 class TestEdges:
+    """The pairs a bucket implies: counted by ``pair_mass``, joined by
+    ``components_from_keys``."""
+
     def test_complete_subgraph(self):
-        edges = edges_from_buckets({"a": {"k1"}, "b": {"k1"}, "c": {"k1"}})
-        assert edges.edges == {("a", "b"), ("a", "c"), ("b", "c")}
+        keys = {"a": {"k1"}, "b": {"k1"}, "c": {"k1"}}
+        assert pair_mass(keys) == 3
+        assert components_from_keys(list("abc"), keys).as_sets() == {
+            frozenset("abc")
+        }
 
     def test_singleton_buckets_no_edges(self):
-        edges = edges_from_buckets({"a": {"k1"}, "b": {"k2"}})
-        assert edges.edges == set()
+        keys = {"a": {"k1"}, "b": {"k2"}}
+        assert pair_mass(keys) == 0
+        assert components_from_keys(["a", "b"], keys).as_sets() == {
+            frozenset("a"), frozenset("b")
+        }
 
     def test_or_union(self):
-        e1 = EdgeSet({("a", "b")})
-        e2 = EdgeSet({("b", "c")})
-        assert e1.union(e2).edges == {("a", "b"), ("b", "c")}
+        # a~b on side 1, b~d on side 2; c holds side 1's key "x" on side 2,
+        # which the side tags keep from matching side 1's "x"
+        side1 = {"a": {"x"}, "b": {"x"}, "c": {"y"}, "d": {"q"}}
+        side2 = {"a": {"z"}, "b": {"w"}, "c": {"x"}, "d": {"w"}}
+        ids = list("abcd")
+
+        def combined(mode):
+            keys = {m: _combine(mode, side1[m], side2[m]) for m in ids}
+            return components_from_keys(ids, keys).as_sets()
+
+        assert combined("or") == {frozenset("abd"), frozenset("c")}
+        assert combined("and") == {frozenset(m) for m in ids}
 
     def test_pair_mass_formula(self):
         rng = random.Random(0)
@@ -97,56 +118,21 @@ class TestEdges:
 class TestConnectedComponents:
     def test_transitivity(self):
         ids = list("abcdef")
-        edges = EdgeSet({("a", "b"), ("b", "c"), ("d", "e")})
-        part = connected_components(ids, edges)
+        keys = {"a": {"ab"}, "b": {"ab", "bc"}, "c": {"bc"},
+                "d": {"de"}, "e": {"de"}, "f": {"f"}}
+        part = components_from_keys(ids, keys)
         assert part.as_sets() == {
             frozenset("abc"), frozenset("de"), frozenset("f")
         }
 
     def test_no_edges_all_singletons(self):
         ids = ["x", "y", "z"]
-        part = connected_components(ids, EdgeSet())
+        part = components_from_keys(ids, {"x": set(), "y": {"k"}})
         assert part.as_sets() == {frozenset({i}) for i in ids}
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(ValueError, match="ghost"):
-            connected_components(["a"], EdgeSet({("a", "ghost")}))
-
-    @pytest.mark.parametrize("kernel", [
-        pytest.param("numba", marks=pytest.mark.skipif(
-            importlib.util.find_spec("numba") is None,
-            reason="numba is not installed")),
-        "python",
-    ])
-    def test_kernels_agree(self, kernel):
-        rng = random.Random(5)
-        ids = [f"m{i}" for i in range(200)]
-        edges = EdgeSet()
-        for _ in range(300):
-            edges.add(rng.choice(ids), rng.choice(ids))
-        assert connected_components(ids, edges, kernel=kernel) == \
-            connected_components(ids, edges, kernel="python")
-
-    def test_python_kernel_labels_match_array_union_find(self):
-        # the fallback runs the numba source over lists; labels must equal
-        # those of the same source run over int64 arrays
-        import numpy as np
-
-        from ecrkit import kernels
-        rng = np.random.default_rng(11)
-        us = rng.integers(0, 500, size=400, dtype=np.int64)
-        vs = rng.integers(0, 500, size=400, dtype=np.int64)
-        want = kernels._union_find(np.arange(500, dtype=np.int64), us, vs)
-        got = kernels.component_labels(500, us, vs, kernel="python")
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-
-    def test_env_flag_selects_fallback(self, monkeypatch):
-        from ecrkit import kernels
-        monkeypatch.setenv(kernels.NO_NUMBA_ENV, "1")
-        assert not kernels.use_numba()
-        monkeypatch.delenv(kernels.NO_NUMBA_ENV)
-        assert kernels.use_numba() == kernels.HAS_NUMBA
+        with pytest.raises(KeyError, match="ghost"):
+            components_from_keys(["a"], {"a": {"k"}, "ghost": {"k"}})
 
 
 class TestCluster:
@@ -165,14 +151,12 @@ class TestCluster:
         part = cluster(Corpus([]), MethodSpec(base="lem"), lexicons)
         assert len(part) == 0
 
-    def test_star_path_equals_edge_path(self, lexicons):
+    def test_csgraph_components_equal_oracle(self):
         corpus = random_corpus(150, seed=11)
-        for spec in METHOD_MATRIX[:7]:
+        for spec in METHOD_MATRIX:
             keys = bucket_keys(corpus, spec, LEX)
-            via_star = components_from_keys(corpus.mention_ids(), keys)
-            via_edges = connected_components(
-                corpus.mention_ids(), edges_from_buckets(keys))
-            assert via_star == via_edges
+            assert components_from_keys(corpus.mention_ids(), keys) == \
+                pairwise_oracle(corpus, spec, LEX), spec.name()
 
     def test_determinism_under_shuffle(self):
         from ecrkit.corpus import Corpus, copy_mention, resolve_nested_links
@@ -225,13 +209,19 @@ class TestCombinerMonotonicity:
         both_and = cluster(
             corpus, MethodSpec(base="eid_n", combiner="and", second="eid_lt",
                                annotator="A1"), LEX)
-
-        def coarsens(fine, coarse):
-            return all(
-                len({coarse.index[m] for m in c}) == 1 for c in fine.clusters
-            )
-
         assert coarsens(base_n, both_or)
         assert coarsens(base_lt, both_or)
         assert coarsens(both_and, base_n)
         assert coarsens(both_and, base_lt)
+
+    def test_annotator_combiners_at_scale(self):
+        corpus = synth_expand(random_corpus(1245, seed=1245), 50_000)
+        single = [cluster(corpus, MethodSpec(base="eid_n", annotator=a), LEX)
+                  for a in ("A1", "A2")]
+        both = {mode: cluster(corpus, MethodSpec(
+                    base="eid_n", annotator="A1", annotator_mode=mode,
+                    second_annotator="A2"), LEX)
+                for mode in ("and", "or")}
+        for part in single:
+            assert coarsens(both["and"], part)
+            assert coarsens(part, both["or"])

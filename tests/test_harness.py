@@ -69,7 +69,7 @@ class TestBench:
         sizes = [100, 200, 300]
         result = run_bench(corpus, sizes,
                            MethodSpec(base="eid_n", annotator="A1"), LEX,
-                           repeats=1, kernel="python")
+                           repeats=1)
         assert result.sizes == sizes
         assert len(result.wall_times_s) == 3
         assert len(result.cpu_times_s) == 3
@@ -104,8 +104,7 @@ class TestBench:
         # corpus afresh for every size.
         corpus = random_corpus(50, seed=4)
         sizes = [100, 200, 300]
-        result = run_bench(corpus, sizes, spec, LEX, repeats=2,
-                           kernel="python")
+        result = run_bench(corpus, sizes, spec, LEX, repeats=2)
         assert result.pair_mass == masses
         assert masses == [
             pair_mass(bucket_keys(synth_expand(corpus, size), spec, LEX))
@@ -205,6 +204,36 @@ class TestDiagnose:
         cats = {c for e in report.mismatches for c in e.categories}
         assert "no VN class" in cats
 
+    @pytest.mark.parametrize("spec", [
+        MethodSpec(base="pb", annotator="A1"),
+        MethodSpec(base="eid_n", combiner="or", second="eid_lt",
+                   annotator="A1"),
+    ], ids=MethodSpec.name)
+    def test_no_vn_class_only_for_vn_methods(self, spec, lexicons):
+        corpus = random_corpus(60, seed=12)
+        report = diagnose(corpus, cluster(corpus, spec, LEX), spec, lexicons)
+        assert report.mismatches
+        cats = {c for e in report.mismatches for c in e.categories}
+        assert "no VN class" not in cats
+
+    @pytest.mark.parametrize("spec", [
+        MethodSpec(base="lem"),
+        MethodSpec(base="pb", annotator="A1"),
+        MethodSpec(base="eid_n", annotator="A1", annotator_mode="and",
+                   second_annotator="A2"),
+    ], ids=MethodSpec.name)
+    def test_reported_keys_are_the_methods_bucket_keys(self, spec):
+        corpus = random_corpus(60, seed=12)
+        keys = bucket_keys(corpus, spec, LEX)
+        report = diagnose(corpus, cluster(corpus, spec, LEX), spec, LEX)
+        assert report.mismatches
+        for e in report.mismatches:
+            assert e.keys_a == sorted(keys[e.mention_a])
+            assert e.keys_b == sorted(keys[e.mention_b])
+        tsv = report.to_tsv()
+        assert "\x1e" not in tsv and "\x1f" not in tsv
+        assert len(tsv.splitlines()) == len(report.mismatches) + 1
+
     def test_max_entries_cap(self):
         corpus = random_corpus(80, seed=14)
         spec = MethodSpec(base="lem")
@@ -272,20 +301,34 @@ class TestCli:
         assert lines[1].startswith("lem,")
         assert "CoNLL" in capsys.readouterr().out
 
-    def test_bench_both_kernels(self, tmp_path, data_dir, capsys):
-        pytest.importorskip("numba")
+    def test_bench(self, tmp_path, capsys):
         corpus_path = tmp_path / "synth.jsonl"
         random_corpus(40, seed=5).save(corpus_path)
         out_path = tmp_path / "bench.csv"
         rc = main(["bench", "--corpus", corpus_path.as_posix(),
                    "--method", "lem", "--sizes", "80,160",
-                   "--repeats", "1", "--kernel", "both",
-                   "--out", str(out_path)])
+                   "--repeats", "1", "--out", str(out_path)])
         assert rc == EXIT_OK
-        text = out_path.read_text()
-        assert text.count("slope_s_per_mention") == 2
-        err = capsys.readouterr().err
-        assert "kernel=numba" in err and "kernel=python" in err
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "size,wall_time_s,cpu_time_s,pair_mass"
+        assert [line.split(",")[0] for line in lines[1:3]] == ["80", "160"]
+        assert capsys.readouterr().err.startswith("slope=")
+
+    def test_cluster_annotator_and_pair_mass(self, corpus_path, lexicons,
+                                             lex_args, acq_corpus, capsys):
+        rc = main(["cluster", "--corpus", corpus_path, *lex_args,
+                   "--method", "eid_n", "--annotator", "A1",
+                   "--annotator-and", "A2"])
+        assert rc == EXIT_OK
+        spec = MethodSpec(base="eid_n", annotator="A1", annotator_mode="and",
+                          second_annotator="A2")
+        part = cluster(acq_corpus, spec, lexicons)
+        singletons = sum(1 for c in part.clusters if len(c) == 1)
+        mass = pair_mass(bucket_keys(acq_corpus, spec, lexicons))
+        captured = capsys.readouterr()
+        assert captured.out == part.dump()
+        assert captured.err == (f"clusters={len(part)} singletons={singletons} "
+                                f"pair_mass={mass}\n")
 
     def test_diagnose(self, corpus_path, lex_args, tmp_path):
         part_path = tmp_path / "part.tsv"
@@ -321,21 +364,6 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert main(["cluster"]) == EXIT_USAGE
         assert main(["no-such-verb"]) == EXIT_USAGE
-
-    @pytest.mark.parametrize("kernel", ["numba", "both"])
-    def test_bench_without_numba_fails_cleanly(self, kernel, tmp_path,
-                                               monkeypatch, capsys):
-        from ecrkit import kernels
-        monkeypatch.setattr(kernels, "_components_nb", None)
-        corpus_path = tmp_path / "synth.jsonl"
-        random_corpus(40, seed=5).save(corpus_path)
-        rc = main(["bench", "--corpus", corpus_path.as_posix(),
-                   "--method", "lem", "--sizes", "80,160",
-                   "--repeats", "1", "--kernel", kernel])
-        assert rc == EXIT_FAILURE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "numba" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_runtime_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.jsonl"

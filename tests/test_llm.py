@@ -145,10 +145,10 @@ class TestParseResponse:
 
 class TestDedupe:
     @staticmethod
-    def entry(mid, topic, roleset, arg0, arg1):
+    def entry(mid, topic, roleset, arg0, arg1, time="1-1-2000"):
         ann = AnnotationResponse(
             roleset=roleset, arg0=arg0, arg1=arg1,
-            arg_location="/wiki/X", arg_time="1-1-2000",
+            arg_location="/wiki/X", arg_time=time,
         ).to_annotation()
         return PoolEntry(mid, topic, f"desc {mid}", complete=True,
                          annotation=ann)
@@ -169,6 +169,19 @@ class TestDedupe:
         ])
         deduped = dedupe_pool(pool, EidConfig(), lexicons)
         assert len(deduped.entries) == 2
+
+    def test_chain_collapses_to_earliest(self, lexicons):
+        # a~b share an eid_lt identifier, b~c an eid_n one; a and c share none
+        pool = EventDescriptionPool([
+            self.entry("a", "t1", "buy.01", "HP", "EYP"),
+            self.entry("b", "t1", "buy.01", "HP", "IBM"),
+            self.entry("c", "t1", "buy.01", "HP", "IBM", time="2-2-2000"),
+        ])
+        deduped = dedupe_pool(pool, EidConfig(), lexicons)
+        assert [e.mention_id for e in deduped.entries] == ["a"]
+        assert len(dedupe_pool(EventDescriptionPool(
+            [pool.entries[0], pool.entries[2]]), EidConfig(),
+            lexicons).entries) == 2
 
     def test_idempotent(self, lexicons):
         pool = EventDescriptionPool([
