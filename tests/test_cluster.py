@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from ecrkit import (
     synth_expand,
 )
 from ecrkit.cluster import _combine, components_from_keys, pair_mass
+from ecrkit.partition import Partition
 from ecrkit.synthetic import random_corpus, synthetic_lexicons
 
 LEX = synthetic_lexicons()
@@ -37,6 +39,28 @@ METHOD_MATRIX = [
     MethodSpec(base="eid_n", combiner="or", second="eid_lt", annotator="A1",
                annotator_mode="and", second_annotator="A2"),
 ]
+
+
+def union_find_components(ids, edges):
+    """Reference labelling: a plain Python union-find over explicit edges."""
+    parent = {i: i for i in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    groups = {}
+    for i in ids:
+        groups.setdefault(find(i), []).append(i)
+    return Partition(groups.values())
+
+
+# Labellings that scipy's csgraph components must agree with.
+REFERENCE_KERNELS = {"python": union_find_components}
 
 
 def coarsens(fine, coarse):
@@ -130,6 +154,19 @@ class TestConnectedComponents:
         part = components_from_keys(ids, {"x": set(), "y": {"k"}})
         assert part.as_sets() == {frozenset({i}) for i in ids}
 
+    @pytest.mark.parametrize("kernel", sorted(REFERENCE_KERNELS))
+    def test_kernels_agree(self, kernel):
+        # each random edge becomes a two-member bucket
+        rng = random.Random(5)
+        ids = [f"m{i}" for i in range(200)]
+        edges = [(rng.choice(ids), rng.choice(ids)) for _ in range(300)]
+        keys = {}
+        for k, (u, v) in enumerate(edges):
+            keys.setdefault(u, set()).add(f"e{k}")
+            keys.setdefault(v, set()).add(f"e{k}")
+        assert components_from_keys(ids, keys) == \
+            REFERENCE_KERNELS[kernel](ids, edges)
+
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(KeyError, match="ghost"):
             components_from_keys(["a"], {"a": {"k"}, "ghost": {"k"}})
@@ -150,6 +187,22 @@ class TestCluster:
         from ecrkit.corpus import Corpus
         part = cluster(Corpus([]), MethodSpec(base="lem"), lexicons)
         assert len(part) == 0
+
+    def test_star_path_equals_edge_path(self, lexicons):
+        # the star from each bucket's first member joins what the bucket's
+        # complete subgraph joins
+        corpus = random_corpus(150, seed=11)
+        ids = corpus.mention_ids()
+        for spec in METHOD_MATRIX:
+            keys = bucket_keys(corpus, spec, LEX)
+            members = {}
+            for mid, key_set in keys.items():
+                for key in key_set:
+                    members.setdefault(key, []).append(mid)
+            edges = [pair for group in members.values()
+                     for pair in itertools.combinations(group, 2)]
+            assert components_from_keys(ids, keys) == \
+                union_find_components(ids, edges), spec.name()
 
     def test_csgraph_components_equal_oracle(self):
         corpus = random_corpus(150, seed=11)
