@@ -105,9 +105,10 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def cmd_score(args) -> int:
-    corpus, _ = _load(args)
-    with open(args.partition, "r", encoding="utf-8") as f:
+def _read_partition(path, corpus: Corpus) -> Partition:
+    """Parse a partition file over ``corpus``: unknown mention ids are an
+    error, corpus mentions left out become singletons (with a warning)."""
+    with open(path, "r", encoding="utf-8") as f:
         pred = Partition.parse(f.read())
     mention_ids = set(corpus.mention_ids())
     extra = pred.mention_ids() - mention_ids
@@ -118,8 +119,14 @@ def cmd_score(args) -> int:
     missing = mention_ids - pred.mention_ids()
     if missing:
         print(f"warning: {len(missing)} corpus mentions missing from the "
-              "partition; scored as singletons", file=sys.stderr)
+              "partition; taken as singletons", file=sys.stderr)
         pred = Partition(list(pred.clusters) + [[m] for m in missing])
+    return pred
+
+
+def cmd_score(args) -> int:
+    corpus, _ = _load(args)
+    pred = _read_partition(args.partition, corpus)
     report = metrics.score(corpus.gold, pred)
     row = metrics.MatrixRow("scored", report=report)
     text = metrics.render_matrix_text([row])
@@ -132,13 +139,19 @@ def cmd_score(args) -> int:
 def _specs_from_file(path) -> list[MethodSpec]:
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
-    spec_field_names = {f.name for f in dataclass_fields(MethodSpec)}
+    # A nested "eid_cfg" is not read: its fields sit at the top level.
+    spec_field_names = {f.name for f in dataclass_fields(MethodSpec)} \
+        - {"eid_cfg"}
     cfg_field_names = {f.name for f in dataclass_fields(EidConfig)}
     specs = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"method spec must be an object, got {entry!r}")
+        unknown = entry.keys() - spec_field_names - cfg_field_names
+        if unknown:
+            raise ValueError(f"unknown method spec keys: {sorted(unknown)}")
         cfg_kwargs = {k: v for k, v in entry.items() if k in cfg_field_names}
-        kwargs = {k: v for k, v in entry.items() if k in spec_field_names
-                  and k != "eid_cfg"}
+        kwargs = {k: v for k, v in entry.items() if k in spec_field_names}
         kwargs["eid_cfg"] = EidConfig(**cfg_kwargs)
         specs.append(MethodSpec(**kwargs))
     return specs
@@ -169,8 +182,7 @@ def cmd_bench(args) -> int:
 def cmd_diagnose(args) -> int:
     corpus, lexicons = _load(args)
     spec = _spec_from_args(args)
-    with open(args.partition, "r", encoding="utf-8") as f:
-        pred = Partition.parse(f.read())
+    pred = _read_partition(args.partition, corpus)
     report = harness.diagnose(corpus, pred, spec, lexicons)
     _write(args.out, report.to_tsv())
     return EXIT_OK

@@ -188,7 +188,9 @@ def _parse_annotation(obj, *, line: int) -> EventAnnotation:
     )
 
 
-def _parse_mention(obj: dict, *, line: int) -> Mention:
+def _parse_mention(obj, *, line: int) -> Mention:
+    if not isinstance(obj, dict):
+        raise CorpusError("a mention must be a JSON object", line)
     required = (
         "mention_id",
         "topic_id",
@@ -205,6 +207,17 @@ def _parse_mention(obj: dict, *, line: int) -> Mention:
     for key in required:
         if key not in obj:
             raise CorpusError(f"missing field {key!r}", line)
+    for key in ("mention_id", "sentence", "lemma"):
+        if not isinstance(obj[key], str):
+            raise CorpusError(f"field {key!r} must be a string", line)
+    if not _is_int(obj["sentence_id"]):
+        raise CorpusError("field 'sentence_id' must be an integer", line)
+    gold_cluster = obj["gold_cluster"]
+    if not (isinstance(gold_cluster, str) or _is_int(gold_cluster)):
+        raise CorpusError("gold_cluster must be a string or an integer", line)
+    annotations = obj.get("annotations") or {}
+    if not isinstance(annotations, dict):
+        raise CorpusError("field 'annotations' must be an object", line)
     start, end = obj["trigger_start"], obj["trigger_end"]
     sentence = obj["sentence"]
     if not isinstance(start, int) or not isinstance(end, int):
@@ -221,13 +234,12 @@ def _parse_mention(obj: dict, *, line: int) -> Mention:
         )
     if obj["split"] not in SPLITS:
         raise CorpusError(f"unknown split {obj['split']!r}", line)
-    if not str(obj["gold_cluster"]).strip():
+    if not str(gold_cluster).strip():
         raise CorpusError("empty gold_cluster", line)
-    if not str(obj["lemma"]).strip():
+    if not obj["lemma"].strip():
         raise CorpusError("empty lemma", line)
-    annotations = {}
-    for annotator, ann in (obj.get("annotations") or {}).items():
-        annotations[annotator] = _parse_annotation(ann, line=line)
+    annotations = {annotator: _parse_annotation(ann, line=line)
+                   for annotator, ann in annotations.items()}
     return Mention(
         mention_id=obj["mention_id"],
         topic_id=obj["topic_id"],
@@ -237,10 +249,14 @@ def _parse_mention(obj: dict, *, line: int) -> Mention:
         trigger_text=obj["trigger_text"],
         trigger_span=(start, end),
         lemma=obj["lemma"],
-        gold_cluster=str(obj["gold_cluster"]),
+        gold_cluster=str(gold_cluster),
         split=obj["split"],
         annotations=annotations,
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _mention_record(m: Mention) -> dict:
@@ -275,10 +291,8 @@ def _mention_record(m: Mention) -> dict:
     }
 
 
-def load_corpus(path, format: str = "jsonl") -> Corpus:
+def load_corpus(path) -> Corpus:
     """Load a JSON-lines mention file into a Corpus with all indexes built."""
-    if format != "jsonl":
-        raise ValueError(f"unsupported format {format!r}")
     mentions: list[Mention] = []
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as f:

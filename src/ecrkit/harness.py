@@ -13,6 +13,7 @@ import gc
 import io
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from .cluster import TAG_SEP, MethodSpec, bucket_keys, components_from_keys, \
     pair_mass
 from .corpus import Corpus, Lexicons, copy_mention, resolve_nested_links
 from .eid import KEY_SEP, canonicalize_argument
-from .partition import Partition
+from .partition import Partition, contingency
 
 EXPAND_GUARD = 5_000_000
 
@@ -204,7 +205,6 @@ class MismatchEntry:
 
 @dataclass
 class DiagnosticsReport:
-    assignments: dict[str, tuple[int, int]] = field(default_factory=dict)
     mismatches: list[MismatchEntry] = field(default_factory=list)
 
     def to_tsv(self) -> str:
@@ -268,38 +268,25 @@ def _alias_miss(corpus, a, b, spec, lexicons) -> bool:
 def diagnose(corpus: Corpus, pred: Partition, spec: MethodSpec,
              lexicons: Lexicons, max_entries: int = 1000) -> DiagnosticsReport:
     """Mismatch pairs between gold and predicted clusterings, with the
-    method's bucket keys of each mention and mechanical category hints. One
-    representative pair per (gold piece, pred piece)."""
-    gold = corpus.gold
+    method's bucket keys of each mention and mechanical category hints.
+    Each cell of the gold x pred contingency table is represented by its
+    smallest mention id: two cells of one gold cluster give a "split" pair
+    (in pred order), two cells of one pred cluster a "merged" pair (in gold
+    order)."""
+    g, p, _, first = contingency(corpus.gold, pred)
     report = DiagnosticsReport()
-    for mid in corpus.mention_ids():
-        report.assignments[mid] = (gold.index[mid], pred.index[mid])
-
     keys = bucket_keys(corpus, spec, lexicons)
-
-    def add(kind, a, b):
-        if len(report.mismatches) >= max_entries:
-            return
-        ka, kb = sorted(keys[a]), sorted(keys[b])
-        report.mismatches.append(MismatchEntry(
-            kind=kind, mention_a=a, mention_b=b, keys_a=ka, keys_b=kb,
-            categories=_categorize(corpus, a, b, ka, kb, spec, lexicons),
-        ))
-
-    for cluster_members in gold.clusters:
-        pieces: dict[int, str] = {}
-        for mid in cluster_members:
-            pieces.setdefault(pred.index[mid], mid)
-        reps = [pieces[k] for k in sorted(pieces)]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                add("split", reps[i], reps[j])
-    for cluster_members in pred.clusters:
-        pieces = {}
-        for mid in cluster_members:
-            pieces.setdefault(gold.index[mid], mid)
-        reps = [pieces[k] for k in sorted(pieces)]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                add("merged", reps[i], reps[j])
+    for kind, owner, order in (("split", g, np.arange(len(g))),
+                               ("merged", p, np.argsort(p, kind="stable"))):
+        bounds = np.flatnonzero(np.diff(owner[order])) + 1
+        for run in np.split(order, bounds):
+            for a, b in combinations([first[i] for i in run], 2):
+                if len(report.mismatches) >= max_entries:
+                    return report
+                ka, kb = sorted(keys[a]), sorted(keys[b])
+                report.mismatches.append(MismatchEntry(
+                    kind=kind, mention_a=a, mention_b=b, keys_a=ka, keys_b=kb,
+                    categories=_categorize(corpus, a, b, ka, kb, spec,
+                                           lexicons),
+                ))
     return report

@@ -1,6 +1,10 @@
 """Coreference partition scoring: MUC, B-cubed, entity CEAF, and the
 CoNLL/recall/precision averages, plus table rendering.
 
+Each metric is a formula over the non-zero cells of the gold x pred
+contingency table (``partition.contingency``), never a |gold| x |pred| matrix;
+CEAF_e's alignment is a sparse bipartite matching over those cells.
+
 Conventions: 0/0 ratios score 0, and table cells are reported x100 with one
 decimal, rounded half-up.
 """
@@ -13,9 +17,10 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .partition import Partition
+from .partition import Partition, contingency
 
 
 @dataclass(frozen=True)
@@ -41,74 +46,54 @@ class ScoreReport:
     p_avg: float
 
 
-def _check_same_mentions(gold: Partition, pred: Partition) -> None:
-    g, p = gold.mention_ids(), pred.mention_ids()
-    if g != p:
-        diff = sorted(g.symmetric_difference(p))
-        raise ValueError(
-            f"partitions cover different mentions; symmetric difference: {diff}"
-        )
-
-
 def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
 def muc(gold: Partition, pred: Partition) -> PRF:
     """Link-based metric: recall counts the links needed to reconnect each
-    gold cluster after partitioning it by the prediction."""
-    _check_same_mentions(gold, pred)
-
-    def side(key: Partition, response: Partition) -> float:
-        num = 0
-        den = 0
-        for cluster in key.clusters:
-            partitions = {response.index[m] for m in cluster}
-            num += len(cluster) - len(partitions)
-            den += len(cluster) - 1
-        return _ratio(num, den)
-
-    return PRF.from_pr(precision=side(pred, gold), recall=side(gold, pred))
+    gold cluster after partitioning it by the prediction, i.e. each
+    cluster's size minus its number of cells."""
+    links = len(gold.index) - len(contingency(gold, pred)[2])
+    return PRF.from_pr(precision=_ratio(links, len(gold.index) - len(pred)),
+                       recall=_ratio(links, len(gold.index) - len(gold)))
 
 
 def b_cubed(gold: Partition, pred: Partition) -> PRF:
-    """Mention-based metric, macro-averaged per-mention overlap ratios."""
-    _check_same_mentions(gold, pred)
-    mentions = gold.mention_ids()
-    if not mentions:
+    """Mention-based metric, macro-averaged per-mention overlap ratios:
+    each cell adds overlap^2 / cluster size on either side."""
+    g, p, overlap, _ = contingency(gold, pred)
+    n = len(gold.index)
+    if not n:
         return PRF.from_pr(0.0, 0.0)
-    recall = 0.0
-    precision = 0.0
-    for m in mentions:
-        g = set(gold.cluster_of(m))
-        p = set(pred.cluster_of(m))
-        overlap = len(g & p)
-        recall += overlap / len(g)
-        precision += overlap / len(p)
-    n = len(mentions)
-    return PRF.from_pr(precision=precision / n, recall=recall / n)
-
-
-def _ceaf_similarity(a: tuple[str, ...], b: tuple[str, ...]) -> float:
-    overlap = len(set(a) & set(b))
-    return 2.0 * overlap / (len(a) + len(b))
+    squares = overlap ** 2
+    return PRF.from_pr(
+        precision=float((squares / np.bincount(p, overlap)[p]).sum()) / n,
+        recall=float((squares / np.bincount(g, overlap)[g]).sum()) / n,
+    )
 
 
 def ceaf_e(gold: Partition, pred: Partition) -> PRF:
-    """Entity-based CEAF under the optimal one-to-one cluster alignment."""
-    _check_same_mentions(gold, pred)
-    if not gold.clusters or not pred.clusters:
+    """Entity-based CEAF under the optimal one-to-one cluster alignment,
+    found as a sparse minimum-cost matching: each overlapping (gold, pred)
+    pair costs 2 - phi4, and each gold cluster has a private unmatched
+    column at cost 2 so that a full matching always exists."""
+    g, p, overlap, _ = contingency(gold, pred)
+    n_gold, n_pred = len(gold), len(pred)
+    if not n_gold or not n_pred:
         return PRF.from_pr(0.0, 0.0)
-    sim = np.array([
-        [_ceaf_similarity(g, p) for p in pred.clusters]
-        for g in gold.clusters
-    ])
-    rows, cols = linear_sum_assignment(-sim)
-    total = float(sim[rows, cols].sum())
-    return PRF.from_pr(
-        precision=_ratio(total, len(pred.clusters)),
-        recall=_ratio(total, len(gold.clusters)),
+    phi4 = 2.0 * overlap / (np.bincount(g, overlap)[g]
+                            + np.bincount(p, overlap)[p])
+    own = np.arange(n_gold)
+    cost = csr_matrix(
+        (np.concatenate([2.0 - phi4, np.full(n_gold, 2.0)]),
+         (np.concatenate([g, own]), np.concatenate([p, n_pred + own]))),
+        shape=(n_gold, n_pred + n_gold),
     )
+    # Every gold row is matched, so the returned rows are 0..n_gold-1.
+    _, cols = min_weight_full_bipartite_matching(cost)
+    total = float(phi4[cols[g] == p].sum())
+    return PRF.from_pr(precision=total / n_pred, recall=total / n_gold)
 
 
 def score(gold: Partition, pred: Partition) -> ScoreReport:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+import numpy as np
+
 
 class Partition:
     """A disjoint, exhaustive clustering of mention ids.
@@ -43,13 +45,6 @@ class Partition:
     def cluster_of(self, mention_id: str) -> tuple[str, ...]:
         return self.clusters[self.index[mention_id]]
 
-    def restrict(self, keep: Iterable[str]) -> "Partition":
-        """Intersect every cluster with ``keep``, dropping emptied clusters."""
-        keep = set(keep)
-        return Partition(
-            [m for m in cluster if m in keep] for cluster in self.clusters
-        )
-
     def as_sets(self) -> set[frozenset[str]]:
         return {frozenset(c) for c in self.clusters}
 
@@ -84,3 +79,27 @@ class Partition:
             _, _, members = line.partition("\t")
             clusters.append(members.split(","))
         return cls(clusters)
+
+
+def contingency(gold: Partition, pred: Partition
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The non-zero cells of the gold x pred contingency table, sorted by
+    (gold cluster, pred cluster), as parallel arrays of the gold and pred
+    cluster ordinals and the overlap, plus a list of each cell's smallest
+    mention id. Raises ``ValueError`` when the partitions cover different
+    mentions."""
+    if gold.index.keys() != pred.index.keys():
+        diff = sorted(gold.index.keys() ^ pred.index.keys())
+        raise ValueError(
+            f"partitions cover different mentions; symmetric difference: {diff}"
+        )
+    ids = list(gold.index)
+    g = np.fromiter(gold.index.values(), dtype=np.int64, count=len(ids))
+    p = np.fromiter(map(pred.index.__getitem__, ids), dtype=np.int64,
+                    count=len(ids))
+    n_pred = len(pred)
+    cells, at, overlap = np.unique(g * n_pred + p, return_index=True,
+                                   return_counts=True)
+    # gold.index lists each cluster's members in sorted order, so a cell's
+    # first occurrence is its smallest mention id.
+    return cells // n_pred, cells % n_pred, overlap, [ids[i] for i in at]

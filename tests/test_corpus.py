@@ -36,10 +36,11 @@ def make_record(mid, gold="A", doc="d1", sid=0, annotations=None, **overrides):
 def test_gold_partition_from_labels(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [make_record("m1", "A"), make_record("m2", "A"),
-                       make_record("m3", "B")])
+                       make_record("m3", "B"), make_record("m4", 7)])
     corpus = load_corpus(path)
-    assert corpus.gold.as_sets() == {frozenset({"m1", "m2"}), frozenset({"m3"})}
-    assert corpus.mention_ids() == ["m1", "m2", "m3"]
+    assert corpus.gold.as_sets() == {frozenset({"m1", "m2"}), frozenset({"m3"}),
+                                     frozenset({"m4"})}
+    assert corpus.mention_ids() == ["m1", "m2", "m3", "m4"]
 
 
 def test_inverted_span_rejected(tmp_path):

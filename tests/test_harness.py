@@ -11,12 +11,31 @@ from ecrkit import (
     run_bench,
     synth_expand,
 )
-from ecrkit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from ecrkit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, _specs_from_file, \
+    main
 from ecrkit.cluster import bucket_keys, pair_mass
 from ecrkit.harness import _bench_corpora
 from ecrkit.synthetic import random_corpus, synthetic_lexicons
+from test_cluster import METHOD_MATRIX
 
 LEX = synthetic_lexicons()
+
+
+def piece_walk_pairs(gold, pred):
+    """Reference mismatch pairs: each cluster's members grouped into pieces
+    by their cluster on the other side, each piece represented by its first
+    (smallest) member, pieces in the other side's order; gold clusters give
+    the "split" pairs, then predicted clusters the "merged" pairs."""
+    pairs = []
+    for kind, outer, inner in (("split", gold, pred), ("merged", pred, gold)):
+        for members in outer.clusters:
+            pieces = {}
+            for mid in members:
+                pieces.setdefault(inner.index[mid], mid)
+            reps = [pieces[k] for k in sorted(pieces)]
+            pairs += [(kind, reps[i], reps[j])
+                      for i in range(len(reps)) for j in range(i + 1, len(reps))]
+    return pairs
 
 
 class TestSynthExpand:
@@ -182,7 +201,6 @@ class TestDiagnose:
         report = diagnose(corpus, corpus.gold,
                           MethodSpec(base="eid_n", annotator="A1"), LEX)
         assert report.mismatches == []
-        assert set(report.assignments) == set(corpus.mention_ids())
 
     def test_split_and_merge_detected(self, acq_corpus, lexicons):
         # put coreferent m1/m2 apart and unrelated m1/m3 together
@@ -233,6 +251,17 @@ class TestDiagnose:
         tsv = report.to_tsv()
         assert "\x1e" not in tsv and "\x1f" not in tsv
         assert len(tsv.splitlines()) == len(report.mismatches) + 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_match_piece_walk(self, seed):
+        corpus = random_corpus(100 + 150 * seed, seed=seed)
+        for spec in METHOD_MATRIX:
+            pred = cluster(corpus, spec, LEX)
+            want = piece_walk_pairs(corpus.gold, pred)
+            for cap in (len(want) + 1, 7):
+                report = diagnose(corpus, pred, spec, LEX, max_entries=cap)
+                assert [(e.kind, e.mention_a, e.mention_b)
+                        for e in report.mismatches] == want[:cap]
 
     def test_max_entries_cap(self):
         corpus = random_corpus(80, seed=14)
@@ -340,6 +369,56 @@ class TestCli:
                    "--partition", str(part_path), "--out", str(out_path)])
         assert rc == EXIT_OK
         assert out_path.read_text().startswith("kind\t")
+
+    def test_diagnose_pads_partial_partition(self, corpus_path, lex_args,
+                                             tmp_path, capsys):
+        part_path = tmp_path / "part.tsv"
+        part_path.write_text("0\tm1,m2\n1\tm3\n")
+        rc = main(["diagnose", "--corpus", corpus_path, *lex_args,
+                   "--method", "pb", "--annotator", "A1",
+                   "--partition", str(part_path),
+                   "--out", str(tmp_path / "diag.tsv")])
+        assert rc == EXIT_OK
+        assert "missing from the partition" in capsys.readouterr().err
+
+    def test_diagnose_unknown_mention(self, corpus_path, tmp_path, capsys):
+        part_path = tmp_path / "part.tsv"
+        part_path.write_text("0\tm1,nope\n")
+        rc = main(["diagnose", "--corpus", corpus_path, "--method", "lem",
+                   "--partition", str(part_path)])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nope" in err
+
+    def test_spec_file_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps([{"base": "eid_n", "anotator": "A1"}]))
+        with pytest.raises(ValueError, match="anotator"):
+            _specs_from_file(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gold_cluster", None),
+        ("gold_cluster", True),
+        (None, 5),
+        ("mention_id", 7),
+        ("sentence_id", "0"),
+        ("sentence", 5),
+        ("annotations", [{"roleset": "acquire.01"}]),
+    ], ids=["gold_null", "gold_bool", "scalar_line", "int_mention_id",
+            "str_sentence_id", "int_sentence", "annotations_list"])
+    def test_malformed_mention_names_line(self, corpus_path, tmp_path,
+                                          capsys, field, value):
+        first, second = open(corpus_path, encoding="utf-8").readlines()[:2]
+        record = json.loads(second)
+        if field is None:
+            record = value
+        else:
+            record[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(first + json.dumps(record) + "\n", encoding="utf-8")
+        rc = main(["cluster", "--corpus", str(path), "--method", "lem"])
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: line 2:")
 
     def test_prompts_g1(self, corpus_path, tmp_path, data_dir):
         out_dir = tmp_path / "prompts"

@@ -2,24 +2,72 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ecrkit import (
     MethodSpec,
     Partition,
     b_cubed,
     ceaf_e,
+    cluster,
     format_score,
     muc,
     score,
     score_matrix,
 )
-from ecrkit.metrics import CSV_COLUMNS, render_matrix_csv, render_matrix_text
+from ecrkit.metrics import CSV_COLUMNS, PRF, render_matrix_csv, \
+    render_matrix_text
+from ecrkit.partition import contingency
 from ecrkit.synthetic import random_corpus, synthetic_lexicons
 
 TOL = 1e-12
+
+
+def _ratio(num, den):
+    return num / den if den > 0 else 0.0
+
+
+def reference_muc(gold, pred):
+    """Set-based MUC: the response clusters met by each key cluster."""
+    def side(key, response):
+        num = den = 0
+        for cluster_ in key.clusters:
+            num += len(cluster_) - len({response.index[m] for m in cluster_})
+            den += len(cluster_) - 1
+        return _ratio(num, den)
+
+    return PRF.from_pr(precision=side(pred, gold), recall=side(gold, pred))
+
+
+def reference_b_cubed(gold, pred):
+    """Per-mention B-cubed over the two clusters of every mention as sets."""
+    mentions = gold.mention_ids()
+    if not mentions:
+        return PRF.from_pr(0.0, 0.0)
+    recall = precision = 0.0
+    for m in mentions:
+        g, p = set(gold.cluster_of(m)), set(pred.cluster_of(m))
+        recall += len(g & p) / len(g)
+        precision += len(g & p) / len(p)
+    return PRF.from_pr(precision=precision / len(mentions),
+                       recall=recall / len(mentions))
+
+
+def reference_ceaf_e(gold, pred):
+    """CEAF_e by a dense |gold| x |pred| phi4 matrix and a dense assignment."""
+    if not gold.clusters or not pred.clusters:
+        return PRF.from_pr(0.0, 0.0)
+    sim = np.array([[2.0 * len(set(g) & set(p)) / (len(g) + len(p))
+                     for p in pred.clusters] for g in gold.clusters])
+    rows, cols = linear_sum_assignment(-sim)
+    total = float(sim[rows, cols].sum())
+    return PRF.from_pr(precision=total / len(pred.clusters),
+                       recall=total / len(gold.clusters))
+
 
 GOLD_ABC = Partition([["a", "b", "c"]])
 PRED_AB_C = Partition([["a", "b"], ["c"]])
@@ -161,6 +209,59 @@ class TestProperties:
     def test_mention_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mention"):
             score(Partition([["a"]]), Partition([["b"]]))
+
+
+class TestContingency:
+    def test_cells(self):
+        gold = Partition([["a", "b", "c", "e"], ["d", "f"]])
+        pred = Partition([["c", "d"], ["a", "e"], ["b"], ["f"]])
+        # pred ordinals by smallest member: {a,e}=0 {b}=1 {c,d}=2 {f}=3
+        g, p, overlap, first = contingency(gold, pred)
+        assert g.tolist() == [0, 0, 0, 1, 1]
+        assert p.tolist() == [0, 1, 2, 2, 3]
+        assert overlap.tolist() == [2, 1, 1, 1, 1]
+        assert first == ["a", "b", "c", "d", "f"]
+
+    def test_empty(self):
+        g, p, overlap, first = contingency(Partition([]), Partition([]))
+        assert len(g) == len(p) == len(overlap) == len(first) == 0
+
+    def test_different_mentions_rejected(self):
+        with pytest.raises(ValueError) as err:
+            contingency(Partition([["a", "b"]]), Partition([["a"], ["c"]]))
+        assert str(err.value) == ("partitions cover different mentions; "
+                                  "symmetric difference: ['b', 'c']")
+
+
+class TestReference:
+    """The cell formulas against per-mention sets and a dense CEAF_e."""
+
+    @given(st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)),
+                    max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_match_reference(self, labels):
+        gold = Partition.from_labels({f"m{i}": str(g)
+                                      for i, (g, _) in enumerate(labels)})
+        pred = Partition.from_labels({f"m{i}": str(p)
+                                      for i, (_, p) in enumerate(labels)})
+        for fast, ref in ((muc, reference_muc), (b_cubed, reference_b_cubed),
+                          (ceaf_e, reference_ceaf_e)):
+            got, want = fast(gold, pred), ref(gold, pred)
+            assert got.precision == pytest.approx(want.precision, abs=TOL)
+            assert got.recall == pytest.approx(want.recall, abs=TOL)
+            assert got.f1 == pytest.approx(want.f1, abs=TOL)
+
+    def test_score_at_100k_mentions(self):
+        # A dense |gold| x |pred| CEAF_e matrix would need about 7.4 GiB here.
+        corpus = random_corpus(100_000)
+        spec = MethodSpec(base="eid_n_vn", combiner="or", second="eid_lt_vn",
+                          annotator="A1")
+        pred = cluster(corpus, spec, synthetic_lexicons())
+        fwd, rev = score(corpus.gold, pred), score(pred, corpus.gold)
+        assert len(corpus.gold) > 30_000 and len(pred) > 30_000
+        assert fwd.ceaf_e.precision == pytest.approx(rev.ceaf_e.recall,
+                                                     abs=TOL)
+        assert 0.0 < fwd.ceaf_e.f1 < 1.0
 
 
 class TestFormatting:
