@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -40,27 +41,24 @@ def _add_method_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--or", dest="second_or", choices=BASES,
                        help="accept a second method matching instead")
     parser.add_argument("--annotator", help="annotator id, e.g. A1")
-    parser.add_argument("--annotator-and", dest="ann_and",
-                        help="second annotator; both must match")
-    parser.add_argument("--annotator-or", dest="ann_or",
-                        help="second annotator; either may match")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--annotator-and", dest="ann_and",
+                       help="second annotator; both must match")
+    group.add_argument("--annotator-or", dest="ann_or",
+                       help="second annotator; either may match")
     parser.add_argument("--max-depth", type=int, default=3)
     parser.add_argument("--allow-empty-slots", action="store_true")
 
 
+def _level_flags(and_value, or_value) -> tuple[str, str | None]:
+    """One method level's (mode, second) from its exclusive and/or flags."""
+    mode = "and" if and_value else "or" if or_value else "single"
+    return mode, and_value or or_value
+
+
 def _spec_from_args(args) -> MethodSpec:
-    combiner, second = "single", None
-    if args.second_and:
-        combiner, second = "and", args.second_and
-    elif args.second_or:
-        combiner, second = "or", args.second_or
-    ann_mode, second_ann = "single", None
-    if args.ann_and and args.ann_or:
-        raise ValueError("--annotator-and and --annotator-or are exclusive")
-    if args.ann_and:
-        ann_mode, second_ann = "and", args.ann_and
-    elif args.ann_or:
-        ann_mode, second_ann = "or", args.ann_or
+    combiner, second = _level_flags(args.second_and, args.second_or)
+    ann_mode, second_ann = _level_flags(args.ann_and, args.ann_or)
     cfg = EidConfig(max_depth=args.max_depth,
                     allow_empty_slots=args.allow_empty_slots)
     return MethodSpec(
@@ -137,23 +135,29 @@ def cmd_score(args) -> int:
 
 
 def _specs_from_file(path) -> list[MethodSpec]:
+    """Method specs from a JSON list of flat objects: ``MethodSpec`` fields,
+    all strings, and ``EidConfig`` fields of their defaults' types, except
+    ``roleset_mode``, which the ``_vn`` suffix of a base sets."""
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
-    # A nested "eid_cfg" is not read: its fields sit at the top level.
-    spec_field_names = {f.name for f in dataclass_fields(MethodSpec)} \
-        - {"eid_cfg"}
-    cfg_field_names = {f.name for f in dataclass_fields(EidConfig)}
+    if not isinstance(entries, list):
+        raise ValueError("a method spec file must hold a JSON list")
+    cfg_types = {f.name: type(f.default) for f in dataclass_fields(EidConfig)
+                 if f.name != "roleset_mode"}
+    types = cfg_types | {f.name: str for f in dataclass_fields(MethodSpec)
+                         if f.init and f.name != "eid_cfg"}
     specs = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"method spec must be an object, got {entry!r}")
-        unknown = entry.keys() - spec_field_names - cfg_field_names
-        if unknown:
-            raise ValueError(f"unknown method spec keys: {sorted(unknown)}")
-        cfg_kwargs = {k: v for k, v in entry.items() if k in cfg_field_names}
-        kwargs = {k: v for k, v in entry.items() if k in spec_field_names}
-        kwargs["eid_cfg"] = EidConfig(**cfg_kwargs)
-        specs.append(MethodSpec(**kwargs))
+        for key, value in entry.items():
+            if key not in types:
+                raise ValueError(f"unknown method spec key {key!r}")
+            if type(value) is not types[key]:
+                raise ValueError(f"method spec key {key!r} must be of type "
+                                 f"{types[key].__name__}, got {value!r}")
+        cfg = {k: entry.pop(k) for k in cfg_types.keys() & entry.keys()}
+        specs.append(MethodSpec(eid_cfg=EidConfig(**cfg), **entry))
     return specs
 
 
@@ -189,8 +193,6 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_prompts(args) -> int:
-    import os
-
     corpus, _ = _load(args)
     os.makedirs(args.out_dir, exist_ok=True)
     strategy = args.strategy

@@ -1,19 +1,22 @@
 """Bucket-based clustering of mentions plus the quadratic pairwise oracle.
 
-Every method is a set of bucket keys per mention, and two mentions match
-under the method exactly when their key sets intersect. Families combine
-by key algebra: ∧ takes the product of the two sides' keys, ∨ their
-side-tagged union; annotators combine the same way. Clustering then takes
-the connected components of bucket co-membership. Each bucket only needs
-to join its members in a star, so the pipeline stays linear in total bucket
-size even when buckets grow large.
+A ``MethodSpec`` compiles to a tree: (family, annotator) leaves under
+and/or nodes, each annotator's families under a node tagged ("1", "2"), the
+annotators under one tagged with their ids. ``bucket_keys`` folds the tree
+per mention into a key set (a leaf's family keys, an ``and`` node's product,
+an ``or`` node's side-tagged union), and two mentions match exactly when
+their key sets intersect. ``pairwise_oracle`` walks the same tree pair by
+pair, with ``all``/``any`` over per-leaf key-set intersections. Clustering
+takes the components of bucket co-membership, each bucket a star, so it
+stays linear in total bucket size.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -32,9 +35,50 @@ TAG_SEP = "\x1e"
 
 
 @dataclass(frozen=True)
+class Leaf:
+    """One key family read from one annotator's annotations."""
+
+    family: str
+    annotator: Optional[str]
+    cfg: EidConfig
+
+
+@dataclass(frozen=True)
+class Node:
+    """Two sub-methods that must both match (``and``) or either (``or``)."""
+
+    op: str
+    left: Leaf | Node
+    right: Leaf | Node
+    tags: tuple[str, str]
+
+
+def leaves(tree: Leaf | Node) -> Iterator[Leaf]:
+    """The tree's leaves, left to right."""
+    if isinstance(tree, Leaf):
+        yield tree
+    else:
+        yield from leaves(tree.left)
+        yield from leaves(tree.right)
+
+
+def _level(mode: str, first, second, what: str) -> str:
+    """Check one level of a method, its families or its annotators, as a
+    (mode, first, second) triple, and return its name: ``first`` alone, or
+    ``first_mode_second``."""
+    if mode not in ("single", "and", "or"):
+        raise ValueError(f"unknown {what} {mode!r}")
+    if (mode == "single") != (second is None):
+        raise ValueError(f"{what} {mode!r} with second {second!r}: 'single' "
+                         "takes no second, 'and' and 'or' need one")
+    return first if second is None else f"{first}_{mode}_{second}"
+
+
+@dataclass(frozen=True)
 class MethodSpec:
     """One clustering method: a base key family, an optional and/or-combined
-    second family, and a single/and/or annotator selection."""
+    second family, and a single/and/or annotator selection, compiled into
+    ``tree``."""
 
     base: str
     combiner: str = "single"  # single | and | or
@@ -43,41 +87,36 @@ class MethodSpec:
     annotator_mode: str = "single"  # single | and | or
     second_annotator: Optional[str] = None
     eid_cfg: EidConfig = field(default_factory=EidConfig)
-    label: Optional[str] = None
+    tree: Leaf | Node = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.base not in BASES:
-            raise ValueError(f"unknown base {self.base!r}")
-        if self.combiner not in ("single", "and", "or"):
-            raise ValueError(f"unknown combiner {self.combiner!r}")
-        if self.combiner == "single" and self.second is not None:
-            raise ValueError("second base given without and/or combiner")
-        if self.combiner != "single":
+        self.name()  # checks both levels' shapes
+
+        def family_leaf(family, annotator) -> Leaf:
+            if family not in BASES:
+                raise ValueError(f"unknown base {family!r}")
+            if family != "lem" and annotator is None:
+                raise ValueError(f"base {family!r} needs an annotator")
+            return Leaf(family, annotator, _base_cfg(family, self.eid_cfg))
+
+        def families(annotator) -> Leaf | Node:
             if self.second is None:
-                raise ValueError(f"combiner {self.combiner!r} needs a second base")
-            if self.second not in BASES:
-                raise ValueError(f"unknown base {self.second!r}")
-        if self.annotator_mode not in ("single", "and", "or"):
-            raise ValueError(f"unknown annotator_mode {self.annotator_mode!r}")
-        if self.annotator_mode != "single" and self.second_annotator is None:
-            raise ValueError("annotator and/or needs a second annotator")
-        needs_annotator = self.base != "lem" or self.second not in (None, "lem")
-        if needs_annotator and self.annotator is None:
-            raise ValueError(f"base {self.base!r} needs an annotator")
+                return family_leaf(self.base, annotator)
+            return Node(self.combiner, family_leaf(self.base, annotator),
+                        family_leaf(self.second, annotator), ("1", "2"))
+
+        tree = families(self.annotator)
+        if self.annotator_mode != "single":
+            tree = Node(self.annotator_mode, tree,
+                        families(self.second_annotator),
+                        (str(self.annotator), str(self.second_annotator)))
+        object.__setattr__(self, "tree", tree)
 
     def name(self) -> str:
-        if self.label:
-            return self.label
-        parts = [self.base]
-        if self.combiner != "single":
-            parts = [self.base, self.combiner, self.second]
-        name = "_".join(parts)
-        if self.annotator:
-            ann = self.annotator
-            if self.annotator_mode != "single":
-                ann = f"{self.annotator}_{self.annotator_mode}_{self.second_annotator}"
-            name = f"{ann}:{name}"
-        return name
+        name = _level(self.combiner, self.base, self.second, "combiner")
+        ann = _level(self.annotator_mode, self.annotator,
+                     self.second_annotator, "annotator_mode")
+        return f"{ann}:{name}" if self.annotator else name
 
 
 def _base_cfg(base: str, cfg: EidConfig) -> EidConfig:
@@ -85,30 +124,22 @@ def _base_cfg(base: str, cfg: EidConfig) -> EidConfig:
     return replace(cfg, roleset_mode=mode)
 
 
-def _spec_cfgs(spec: MethodSpec) -> list[EidConfig]:
-    """Per-family configs for the spec's base and (if any) second family."""
-    return [_base_cfg(base, spec.eid_cfg)
-            for base in (spec.base, spec.second) if base is not None]
-
-
-def _base_keys(mention, base: str, annotator: Optional[str],
-               bcfg: EidConfig, lexicons: Lexicons) -> set[str]:
-    """Bucket keys for one mention under one base family, with ``bcfg`` the
-    family's config from ``_base_cfg`` (computed once per corpus, not per
-    mention). A mention lacking the needed annotation contributes no keys."""
-    if base == "lem":
+def _base_keys(mention, leaf: Leaf, lexicons: Lexicons) -> set[str]:
+    """Bucket keys for one mention under one leaf's family and annotator. A
+    mention lacking the needed annotation contributes no keys."""
+    if leaf.family == "lem":
         return {normalize_surface(mention.lemma)}
     try:
-        if base in ("pb", "pb_vn"):
-            ann = mention.annotations[annotator]
+        if leaf.family in ("pb", "pb_vn"):
+            ann = mention.annotations[leaf.annotator]
             tokens = eid_mod.canonicalize_roleset(
-                ann.roleset, bcfg.roleset_mode, lexicons
+                ann.roleset, leaf.cfg.roleset_mode, lexicons
             )
             return set(tokens)
-        if base in ("eid_n", "eid_n_vn"):
-            ids = eid_mod.eid_n(mention, annotator, bcfg, lexicons)
+        if leaf.family in ("eid_n", "eid_n_vn"):
+            ids = eid_mod.eid_n(mention, leaf.annotator, leaf.cfg, lexicons)
         else:  # eid_lt, eid_lt_vn
-            ids = eid_mod.eid_lt(mention, annotator, bcfg, lexicons)
+            ids = eid_mod.eid_lt(mention, leaf.annotator, leaf.cfg, lexicons)
         return {identifier_key(i) for i in ids}
     except (KeyError, MissingAnnotationError):
         return set()
@@ -125,32 +156,20 @@ def _combine(mode: str, keys1: set[str], keys2: set[str],
             | {tags[1] + TAG_SEP + k for k in keys2})
 
 
-def _combined_keys(mention, spec: MethodSpec, annotator: Optional[str],
-                   cfgs: list[EidConfig], lexicons: Lexicons) -> set[str]:
-    keys = _base_keys(mention, spec.base, annotator, cfgs[0], lexicons)
-    if spec.combiner == "single":
-        return keys
-    keys2 = _base_keys(mention, spec.second, annotator, cfgs[1], lexicons)
-    return _combine(spec.combiner, keys, keys2)
+def _fold(tree: Leaf | Node, mention, lexicons: Lexicons) -> set[str]:
+    """One mention's bucket keys under a method tree."""
+    if isinstance(tree, Leaf):
+        return _base_keys(mention, tree, lexicons)
+    return _combine(tree.op, _fold(tree.left, mention, lexicons),
+                    _fold(tree.right, mention, lexicons), tree.tags)
 
 
 def bucket_keys(corpus: Corpus, spec: MethodSpec,
                 lexicons: Lexicons) -> dict[str, set[str]]:
     """Per-mention bucket key sets for the method: two mentions match under
-    it exactly when their key sets intersect. The two annotators' key sets
-    combine as the two families' do, with the annotator ids as the ``or``
-    tags."""
-    out: dict[str, set[str]] = {}
-    cfgs = _spec_cfgs(spec)
-    tags = (str(spec.annotator), str(spec.second_annotator))
-    for m in corpus.mentions:
-        keys = _combined_keys(m, spec, spec.annotator, cfgs, lexicons)
-        if spec.annotator_mode != "single":
-            keys2 = _combined_keys(m, spec, spec.second_annotator, cfgs,
-                                   lexicons)
-            keys = _combine(spec.annotator_mode, keys, keys2, tags)
-        out[m.mention_id] = keys
-    return out
+    it exactly when their key sets intersect."""
+    return {m.mention_id: _fold(spec.tree, m, lexicons)
+            for m in corpus.mentions}
 
 
 def pair_mass(keys: dict[str, set[str]]) -> int:
@@ -190,67 +209,39 @@ def cluster(corpus: Corpus, spec: MethodSpec, lexicons: Lexicons) -> Partition:
                                 bucket_keys(corpus, spec, lexicons))
 
 
-def _pair_match(keys_a: set[str], keys_b: set[str]) -> bool:
-    return not keys_a.isdisjoint(keys_b)
+def _linked(tree: Leaf | Node, leaf_keys: dict, a: str, b: str) -> bool:
+    """The match relation of a method tree on one mention pair: a leaf
+    matches when the pair's key sets intersect, a node when all (``and``) or
+    any (``or``) of its children match."""
+    if isinstance(tree, Leaf):
+        keys = leaf_keys[tree]
+        return not keys[a].isdisjoint(keys[b])
+    matches = (_linked(child, leaf_keys, a, b)
+               for child in (tree.left, tree.right))
+    return all(matches) if tree.op == "and" else any(matches)
 
 
 def pairwise_oracle(corpus: Corpus, spec: MethodSpec,
                     lexicons: Lexicons) -> Partition:
-    """Quadratic reference: evaluate the identifier-match relation for every
-    mention pair, then take the transitive closure. Must always agree with
-    ``cluster``; guarded to small corpora."""
-    n = len(corpus)
-    if n > ORACLE_GUARD:
+    """Quadratic reference: evaluate the method tree's match relation for
+    every mention pair, then take the transitive closure. Must always agree
+    with ``cluster``; guarded to small corpora."""
+    if len(corpus) > ORACLE_GUARD:
         raise ValueError(
-            f"pairwise oracle is quadratic; {n} mentions exceeds the "
+            f"pairwise oracle is quadratic; {len(corpus)} mentions exceeds the "
             f"{ORACLE_GUARD} guard, use cluster() instead"
         )
-    mention_ids = corpus.mention_ids()
-
-    def per_annotator_sides(annotator):
-        bases = [b for b in (spec.base, spec.second) if b is not None]
-        return [
-            {m.mention_id: _base_keys(m, base, annotator, bcfg, lexicons)
-             for m in corpus.mentions}
-            for base, bcfg in zip(bases, _spec_cfgs(spec))
-        ]
-
-    def method_match(sides, a, b):
-        matches = [_pair_match(side[a], side[b]) for side in sides]
-        if spec.combiner == "and":
-            return all(matches)
-        if spec.combiner == "or":
-            return any(matches)
-        return matches[0]
-
-    annotators = [spec.annotator]
-    if spec.annotator_mode != "single":
-        annotators.append(spec.second_annotator)
-    per_ann = [per_annotator_sides(a) for a in annotators]
-
-    def linked(a, b):
-        results = [method_match(sides, a, b) for sides in per_ann]
-        if spec.annotator_mode == "and":
-            return all(results)
-        return any(results)
-
-    # Transitive closure by repeated merging of small adjacency sets.
-    parent = {mid: mid for mid in mention_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = mention_ids[i], mention_ids[j]
-            if linked(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[str, list[str]] = {}
-    for mid in mention_ids:
-        groups.setdefault(find(mid), []).append(mid)
-    return Partition(groups.values())
+    leaf_keys = {leaf: {m.mention_id: _base_keys(m, leaf, lexicons)
+                        for m in corpus.mentions}
+                 for leaf in leaves(spec.tree)}
+    # Transitive closure, merging the smaller cluster into the larger.
+    cluster_of = {mid: {mid} for mid in corpus.mention_ids()}
+    for a, b in combinations(corpus.mention_ids(), 2):
+        big, small = cluster_of[a], cluster_of[b]
+        if big is not small and _linked(spec.tree, leaf_keys, a, b):
+            if len(big) < len(small):
+                big, small = small, big
+            big |= small
+            for mid in small:
+                cluster_of[mid] = big
+    return Partition({id(c): c for c in cluster_of.values()}.values())

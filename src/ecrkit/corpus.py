@@ -19,6 +19,9 @@ from .partition import Partition
 SPLITS = ("train", "dev", "test", "dev_small")
 
 _ROLESET_RE = re.compile(r"^\S+$")
+# The bytes that join key tokens (eid.KEY_SEP) and combined keys
+# (cluster.TAG_SEP); no lexicon value may hold them.
+_SEPARATORS = re.compile("[\x1f\x1e]")
 
 
 class CorpusError(Exception):
@@ -167,8 +170,8 @@ def _parse_arg1(value, *, line: int) -> Optional[Arg1Value]:
         return Arg1Value(kind="entity", entity=entity)
     if kind == "event":
         roleset = value.get("roleset")
-        if not roleset or not isinstance(roleset, str):
-            raise CorpusError("event arg1 requires 'roleset'", line)
+        if not isinstance(roleset, str) or not _ROLESET_RE.match(roleset):
+            raise CorpusError(f"invalid event arg1 roleset {roleset!r}", line)
         return Arg1Value(kind="event", linked_roleset=roleset)
     raise CorpusError(f"arg1.kind must be 'entity' or 'event', got {kind!r}", line)
 
@@ -325,6 +328,9 @@ def load_lexicons(vn_path, alias_path) -> Lexicons:
         roleset, class_id = row
         if not roleset or not class_id:
             raise CorpusError("blank roleset or class field", lineno)
+        if _SEPARATORS.search(class_id):
+            raise CorpusError(f"class {class_id!r} holds a separator byte",
+                              lineno)
         lex.vn_classes.setdefault(roleset, set()).add(class_id)
     for lineno, row in _tsv_rows(alias_path):
         if len(row) != 2:
@@ -332,6 +338,9 @@ def load_lexicons(vn_path, alias_path) -> Lexicons:
         surface, entity_id = row
         if not surface or not entity_id:
             raise CorpusError("blank surface or entity field", lineno)
+        if _SEPARATORS.search(entity_id):
+            raise CorpusError(f"entity {entity_id!r} holds a separator byte",
+                              lineno)
         lex.aliases[surface] = entity_id
     return lex
 

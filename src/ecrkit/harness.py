@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cluster import TAG_SEP, MethodSpec, bucket_keys, components_from_keys, \
-    pair_mass
+    leaves, pair_mass
 from .corpus import Corpus, Lexicons, copy_mention, resolve_nested_links
 from .eid import KEY_SEP, canonicalize_argument
 from .partition import Partition, contingency
@@ -224,37 +224,43 @@ def _printable(key: str) -> str:
     return key.replace(KEY_SEP, ":").replace(TAG_SEP, "+")
 
 
+def _annotations(corpus, mid, annotators) -> list:
+    """The mention's annotations by those of ``annotators`` it has."""
+    anns = corpus.by_id[mid].annotations
+    return [anns[x] for x in annotators if x in anns]
+
+
 def _categorize(corpus, a, b, keys_a, keys_b, spec, lexicons) -> list[str]:
+    """Hints for one mismatch pair from the annotations that the method
+    tree's leaves read; "no VN class" from its ``_vn`` leaves only."""
     cats = []
-    if any(base.endswith("_vn") for base in (spec.base, spec.second or "")):
-        for mid in (a, b):
-            ann = corpus.by_id[mid].annotations.get(spec.annotator)
-            if ann is not None and ann.roleset not in lexicons.vn_classes:
-                cats.append("no VN class")
-                break
+    vn_annotators = {leaf.annotator for leaf in leaves(spec.tree)
+                     if leaf.family.endswith("_vn")}
+    if any(ann.roleset not in lexicons.vn_classes for mid in (a, b)
+           for ann in _annotations(corpus, mid, vn_annotators)):
+        cats.append("no VN class")
     if not keys_a or not keys_b:
         cats.append("missing slot")
-    if _alias_miss(corpus, a, b, spec, lexicons):
+    annotators = {leaf.annotator for leaf in leaves(spec.tree)}
+    if _alias_miss(corpus, a, b, annotators, spec.eid_cfg, lexicons):
         cats.append("alias miss")
     if not cats:
         cats.append("other")
     return cats
 
 
-def _alias_miss(corpus, a, b, spec, lexicons) -> bool:
+def _alias_miss(corpus, a, b, annotators, cfg, lexicons) -> bool:
     """Near-identical argument surfaces that canonicalize apart, e.g. one
     location token contained in the other."""
     def arg_tokens(mid):
-        ann = corpus.by_id[mid].annotations.get(spec.annotator)
-        if ann is None:
-            return set()
         tokens = set()
-        values = [ann.arg0, ann.arg_loc, ann.arg_time]
-        if ann.arg1 is not None and ann.arg1.kind == "entity":
-            values.append(ann.arg1.entity)
-        for value in values:
-            if value is not None:
-                tokens.update(canonicalize_argument(value, lexicons, spec.eid_cfg))
+        for ann in _annotations(corpus, mid, annotators):
+            values = [ann.arg0, ann.arg_loc, ann.arg_time]
+            if ann.arg1 is not None and ann.arg1.kind == "entity":
+                values.append(ann.arg1.entity)
+            for value in values:
+                if value is not None:
+                    tokens.update(canonicalize_argument(value, lexicons, cfg))
         return tokens
 
     tokens_a, tokens_b = arg_tokens(a), arg_tokens(b)

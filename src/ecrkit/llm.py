@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .cluster import components_from_keys
-from .corpus import ArgValue, Arg1Value, Corpus, EventAnnotation, Lexicons, Mention
+from .corpus import ArgValue, Arg1Value, Corpus, EventAnnotation, Lexicons, \
+    Mention, copy_mention, resolve_nested_links
 from .eid import EidConfig, eid_n, eid_lt
 
 G1 = "G1"
@@ -427,8 +428,6 @@ def annotate_corpus(corpus: Corpus, transport: Transport, strategy: str,
 def run_to_corpus(corpus: Corpus, run: AnnotationRun) -> Corpus:
     """Write the run's annotations onto a copy of the corpus under the
     strategy's annotator id, using the standard mention schema."""
-    from .corpus import copy_mention, resolve_nested_links
-
     mentions = []
     for m in corpus.mentions:
         copied = copy_mention(m)

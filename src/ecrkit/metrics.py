@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+from .cluster import cluster
 from .partition import Partition, contingency
 
 
@@ -137,8 +138,6 @@ def score_matrix(corpus, specs, lexicons,
                  gold: Partition | None = None) -> list[MatrixRow]:
     """One scored row per method spec; per-row failures are captured in the
     row instead of aborting the whole matrix."""
-    from .cluster import cluster  # local import to avoid a module cycle
-
     if gold is None:
         gold = corpus.gold
     rows = []

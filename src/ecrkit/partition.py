@@ -42,9 +42,6 @@ class Partition:
     def mention_ids(self) -> set[str]:
         return set(self.index)
 
-    def cluster_of(self, mention_id: str) -> tuple[str, ...]:
-        return self.clusters[self.index[mention_id]]
-
     def as_sets(self) -> set[frozenset[str]]:
         return {frozenset(c) for c in self.clusters}
 
@@ -71,12 +68,16 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
+        """Read ``dump``'s format; blank lines and ``#`` comments are skipped."""
         clusters = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            _, _, members = line.partition("\t")
+            _, tab, members = line.partition("\t")
+            if not tab:
+                raise ValueError(f"line {lineno}: expected cluster_id TAB "
+                                 f"comma-joined mention_ids, got {line!r}")
             clusters.append(members.split(","))
         return cls(clusters)
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecrkit import (
     MethodSpec,
@@ -10,7 +12,8 @@ from ecrkit import (
     pairwise_oracle,
     synth_expand,
 )
-from ecrkit.cluster import _combine, components_from_keys, pair_mass
+from ecrkit.cluster import BASES, Node, _combine, components_from_keys, \
+    pair_mass
 from ecrkit.partition import Partition
 from ecrkit.synthetic import random_corpus, synthetic_lexicons
 
@@ -41,6 +44,16 @@ METHOD_MATRIX = [
 ]
 
 
+# The matrix CSV's ``method`` column: these names must never change.
+METHOD_NAMES = [
+    "lem", "A1:pb", "A1:pb_vn", "A1:eid_n", "A1:eid_lt", "A1:eid_n_vn",
+    "A1:eid_lt_vn", "A1:eid_n_and_eid_lt", "A1:eid_n_or_eid_lt",
+    "A1:eid_n_vn_and_eid_lt_vn", "A1:eid_n_vn_or_eid_lt_vn",
+    "A1_or_A2:eid_n", "A1_and_A2:eid_n", "A1_or_A2:eid_n_or_eid_lt",
+    "A1_and_A2:eid_n_or_eid_lt",
+]
+
+
 def union_find_components(ids, edges):
     """Reference labelling: a plain Python union-find over explicit edges."""
     parent = {i: i for i in ids}
@@ -66,6 +79,49 @@ REFERENCE_KERNELS = {"python": union_find_components}
 def coarsens(fine, coarse):
     """Every cluster of ``fine`` lies inside one cluster of ``coarse``."""
     return all(len({coarse.index[m] for m in c}) == 1 for c in fine.clusters)
+
+
+class TestMethodSpec:
+    def test_matrix_names(self):
+        assert [spec.name() for spec in METHOD_MATRIX] == METHOD_NAMES
+
+    def test_tree_of_annotator_and_family_or(self):
+        spec = MethodSpec(base="eid_n_vn", combiner="or", second="eid_lt",
+                          annotator="A1", annotator_mode="and",
+                          second_annotator="A2")
+        tree = spec.tree
+        assert (tree.op, tree.tags) == ("and", ("A1", "A2"))
+        for side, annotator in ((tree.left, "A1"), (tree.right, "A2")):
+            assert (side.op, side.tags) == ("or", ("1", "2"))
+            assert [(leaf.family, leaf.annotator, leaf.cfg.roleset_mode)
+                    for leaf in (side.left, side.right)] == [
+                ("eid_n_vn", annotator, "vn_class"),
+                ("eid_lt", annotator, "verbatim")]
+
+    def test_tree_not_compared(self):
+        assert MethodSpec(base="lem") == MethodSpec(base="lem")
+        assert "tree" not in repr(MethodSpec(base="lem"))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(base="eid_x", annotator="A1"), "unknown base 'eid_x'"),
+        (dict(base="eid_n", combiner="or", second="nope", annotator="A1"),
+         "unknown base 'nope'"),
+        (dict(base="eid_n", combiner="xor", second="eid_lt", annotator="A1"),
+         "unknown combiner 'xor'"),
+        (dict(base="eid_n", combiner="and", annotator="A1"), "need one"),
+        (dict(base="eid_n", second="eid_lt", annotator="A1"), "takes no second"),
+        (dict(base="eid_n", annotator="A1", annotator_mode="both",
+              second_annotator="A2"), "unknown annotator_mode 'both'"),
+        (dict(base="eid_n", annotator="A1", annotator_mode="or"), "need one"),
+        (dict(base="eid_n", annotator="A1", second_annotator="A2"),
+         "takes no second"),
+        (dict(base="eid_n"), "base 'eid_n' needs an annotator"),
+        (dict(base="lem", combiner="or", second="pb"),
+         "base 'pb' needs an annotator"),
+    ])
+    def test_invalid_specs_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            MethodSpec(**kwargs)
 
 
 class TestBucketKeys:
@@ -225,7 +281,32 @@ class TestCluster:
         assert cluster(shuffled, spec, LEX) == base
 
 
+def method_trees(depth):
+    """Random method trees up to ``depth`` node levels: (family, annotator)
+    leaves under and/or nodes."""
+    leaf = st.builds(lambda family, annotator: MethodSpec(
+        base=family, annotator=annotator).tree,
+        st.sampled_from(BASES), st.sampled_from(["A1", "A2"]))
+    if depth == 0:
+        return leaf
+    child = method_trees(depth - 1)
+    return st.one_of(leaf, st.builds(
+        Node, st.sampled_from(["and", "or"]), child, child,
+        st.sampled_from([("1", "2"), ("A1", "A2")])))
+
+
 class TestOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(tree=method_trees(3), n=st.integers(1, 60),
+           seed=st.integers(0, 10_000))
+    def test_random_trees_equal_oracle(self, tree, n, seed):
+        # the flat fields cannot spell every tree, so the random tree
+        # replaces a spec's own; cluster() and the oracle read only the tree
+        spec = MethodSpec(base="lem")
+        object.__setattr__(spec, "tree", tree)
+        corpus = random_corpus(n, seed=seed)
+        assert cluster(corpus, spec, LEX) == pairwise_oracle(corpus, spec, LEX)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matrix_equivalence_small(self, seed):
         corpus = random_corpus(random.Random(seed).randint(30, 90), seed=seed)

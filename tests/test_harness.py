@@ -14,6 +14,7 @@ from ecrkit import (
 from ecrkit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, _specs_from_file, \
     main
 from ecrkit.cluster import bucket_keys, pair_mass
+from ecrkit.corpus import ArgValue, EventAnnotation
 from ecrkit.harness import _bench_corpora
 from ecrkit.synthetic import random_corpus, synthetic_lexicons
 from test_cluster import METHOD_MATRIX
@@ -72,7 +73,7 @@ class TestSynthExpand:
                     assert part.index[m.mention_id] == part.index[src]
                 else:
                     # identifier-less mentions stay singletons, duplicate or not
-                    assert len(part.cluster_of(m.mention_id)) == 1
+                    assert len(part.clusters[part.index[m.mention_id]]) == 1
 
     def test_expansion_preserves_gold_labels(self):
         corpus = random_corpus(40, seed=7)
@@ -233,6 +234,30 @@ class TestDiagnose:
         assert report.mismatches
         cats = {c for e in report.mismatches for c in e.categories}
         assert "no VN class" not in cats
+
+    def test_hints_read_every_annotator(self, lexicons):
+        # A1's roleset has a VN class and A1 has no arguments; only A2's
+        # annotations give "no VN class" and "alias miss" hints
+        corpus = random_corpus(60, seed=12)
+        for i, m in enumerate(corpus.mentions):
+            loc = ArgValue("New York" if i % 2 else "New York City")
+            m.annotations = {"A1": EventAnnotation(roleset="acquire.01"),
+                             "A2": EventAnnotation(roleset="zz.01",
+                                                   arg_loc=loc)}
+        pred = Partition([[mid] for mid in corpus.mention_ids()])
+
+        def categories(**annotators):
+            spec = MethodSpec(base="eid_n_vn", **annotators)
+            report = diagnose(corpus, pred, spec, lexicons)
+            assert report.mismatches
+            return {c for e in report.mismatches for c in e.categories}
+
+        assert categories(annotator="A1") == {"missing slot"}
+        assert categories(annotator="A2") == \
+            {"no VN class", "missing slot", "alias miss"}
+        assert categories(annotator="A1", annotator_mode="or",
+                          second_annotator="A2") == \
+            {"no VN class", "missing slot", "alias miss"}
 
     @pytest.mark.parametrize("spec", [
         MethodSpec(base="lem"),
@@ -395,6 +420,84 @@ class TestCli:
         path.write_text(json.dumps([{"base": "eid_n", "anotator": "A1"}]))
         with pytest.raises(ValueError, match="anotator"):
             _specs_from_file(path)
+
+    @pytest.mark.parametrize("specs, message", [
+        ({"base": "lem"}, "JSON list"),
+        ([{"base": "eid_n", "annotator": "A1", "max_depth": "2"}],
+         "'max_depth' must be of type int"),
+        ([{"base": "lem", "max_depth": True}], "'max_depth' must be of type int"),
+        ([{"base": "lem", "allow_empty_slots": "no"}],
+         "'allow_empty_slots' must be of type bool"),
+        ([{"base": "eid_n", "annotator": 1}], "'annotator' must be of type str"),
+        ([{"base": None}], "'base' must be of type str"),
+        ([{"base": "eid_n_vn", "annotator": "A1", "roleset_mode": "verbatim"}],
+         "roleset_mode"),
+        ([{"base": "lem", "label": "mine"}], "label"),
+        ([{"base": "lem", "tree": None}], "tree"),
+        ([{"base": "eid_n", "combiner": "or", "annotator": "A1"}], "need one"),
+    ], ids=["object", "str_depth", "bool_depth", "str_flag", "int_name",
+            "null_name", "roleset_mode", "label", "tree", "no_second"])
+    def test_bad_spec_file_fails_cleanly(self, corpus_path, tmp_path, capsys,
+                                         specs, message):
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps(specs))
+        rc = main(["matrix", "--corpus", corpus_path, "--specs", str(path)])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_annotator_flags_exclusive(self, corpus_path, capsys):
+        rc = main(["cluster", "--corpus", corpus_path, "--method", "eid_n",
+                   "--annotator", "A1", "--annotator-and", "A2",
+                   "--annotator-or", "A3"])
+        assert rc == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["score", "diagnose"])
+    def test_partition_line_without_tab(self, corpus_path, tmp_path, capsys,
+                                        verb):
+        part_path = tmp_path / "part.tsv"
+        part_path.write_text("0\tm1,m2\nm3,m4\n")
+        method = ["--method", "lem"] if verb == "diagnose" else []
+        rc = main([verb, "--corpus", corpus_path, *method,
+                   "--partition", str(part_path)])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: expected cluster_id TAB")
+        assert "'m3,m4'" in err
+
+    def test_separator_in_event_arg1_roleset(self, corpus_path, tmp_path,
+                                             capsys):
+        first, second = open(corpus_path, encoding="utf-8").readlines()[:2]
+        record = json.loads(second)
+        record["annotations"]["A1"]["arg1"]["roleset"] = "zz\x1fqq.01"
+        path = tmp_path / "bad.jsonl"
+        path.write_text(first + json.dumps(record) + "\n", encoding="utf-8")
+        rc = main(["cluster", "--corpus", str(path), "--method", "eid_n",
+                   "--annotator", "A1"])
+        assert rc == EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: invalid event arg1 roleset")
+
+    @pytest.mark.parametrize("which, row", [
+        ("vn", "purchase.01\t13.5\x1f1"),
+        ("alias", "hp\tH\x1eP"),
+    ])
+    def test_separator_in_lexicon_value(self, corpus_path, data_dir, tmp_path,
+                                        capsys, which, row):
+        paths = {"vn": data_dir / "vn_map.tsv",
+                 "alias": data_dir / "alias_map.tsv"}
+        bad = tmp_path / f"{which}.tsv"
+        bad.write_text(paths[which].read_text() + row + "\n")
+        lines = bad.read_text().count("\n")
+        paths[which] = bad
+        rc = main(["cluster", "--corpus", corpus_path, "--method", "eid_n",
+                   "--annotator", "A1", "--vn-map", str(paths["vn"]),
+                   "--alias-map", str(paths["alias"])])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lines}:")
+        assert "separator byte" in err
 
     @pytest.mark.parametrize("field,value", [
         ("gold_cluster", None),

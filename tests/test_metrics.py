@@ -50,7 +50,8 @@ def reference_b_cubed(gold, pred):
         return PRF.from_pr(0.0, 0.0)
     recall = precision = 0.0
     for m in mentions:
-        g, p = set(gold.cluster_of(m)), set(pred.cluster_of(m))
+        g = set(gold.clusters[gold.index[m]])
+        p = set(pred.clusters[pred.index[m]])
         recall += len(g & p) / len(g)
         precision += len(g & p) / len(p)
     return PRF.from_pr(precision=precision / len(mentions),
